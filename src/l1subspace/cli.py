@@ -5,7 +5,9 @@ run reads an optional flat ``key = value`` config file, applies flag
 overrides, writes the fully resolved config next to its outputs, and emits
 machine-readable artifacts (CSV traces, JSON reports).  Outputs are written
 atomically.  Identical config and seed give byte-identical traces and
-reports, except for the timing section of each report.
+reports, except for the timing section of each report, on one BLAS/LAPACK
+build run with a fixed thread count; other thread counts can change the last
+digits.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 solver error,
 5 check failure.
@@ -292,7 +294,6 @@ def build_solver_config(resolved: dict) -> SolverConfig:
             gamma=resolved["gamma"],
             max_iters=resolved["max_iters"],
             tol=resolved["tol"],
-            seed=resolved["seed"],
             theory_mode=resolved.get("theory", False),
         )
     except (DomainError, ShapeError, ValueError) as exc:
@@ -523,7 +524,6 @@ def cmd_bench(args) -> int:
                 gamma=gamma,
                 max_iters=base_config.max_iters,
                 tol=base_config.tol,
-                seed=base_config.seed,
                 theory_mode=base_config.theory_mode,
             )
             try:
@@ -900,7 +900,6 @@ def cmd_check(args) -> int:
                 gamma=float(stored_config.get("gamma", 1.0)),
                 max_iters=int(stored_config.get("max_iters", 1000)),
                 tol=float(stored_config.get("tol", 1e-6)),
-                seed=int(stored_config.get("seed", 0)),
                 theory_mode=True,
             )
         except (KeyError, ValueError, TypeError, DomainError) as exc:

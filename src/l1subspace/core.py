@@ -196,7 +196,6 @@ class SolverConfig:
     gamma: float = 1.0
     max_iters: int = 1000
     tol: float = 1e-6
-    seed: int = 0
     theory_mode: bool = False
 
     def __post_init__(self):

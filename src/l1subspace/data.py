@@ -404,7 +404,8 @@ def _rescale_to_range(values, lo=0.0, hi=255.0):
     vmax = float(values.max())
     if vmax == vmin:
         return values.copy()
-    return (values - vmin) * ((hi - lo) / (vmax - vmin)) + lo
+    # the affine map can land one rounding step outside [lo, hi]
+    return np.clip((values - vmin) * ((hi - lo) / (vmax - vmin)) + lo, lo, hi)
 
 
 def corrupt_image(image: GrayImage, block_index: int, seed) -> GrayImage:

@@ -35,8 +35,4 @@ class ParseError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration failed to converge; carries the best estimate so far."""
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
+    """A numerical factorization failed to converge."""

@@ -1,13 +1,11 @@
 """Dense factorizations used by the solvers: thin SVD, polar factor,
-spectral norm estimation, and leading singular subspaces.
+spectral norm, and leading singular subspaces.
 
-The thin SVD is a one-sided Jacobi iteration: plane rotations orthogonalize
-the columns of a working copy of M while the same rotations accumulate into
-V, so M = A V^T holds throughout and U, sigma fall out of the column norms
-at convergence.  Rotation pairs are scheduled round-robin so each round acts
-on disjoint columns and can be applied as one vectorized update.  The method
-is slower than a blocked bidiagonalization but has excellent columnwise
-accuracy and no external dependencies.
+Every factorization is one LAPACK SVD through ``np.linalg.svd``.  The polar
+factor U V^T of the thin SVD is the orthogonal Procrustes solution (Higham,
+"Computing the polar decomposition -- with applications", 1986), and the
+spectral norm is the largest singular value.  A LAPACK failure to converge
+surfaces as :class:`ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -19,13 +17,6 @@ import numpy as np
 
 from .core import DataMatrix, StiefelPoint
 from .errors import ConvergenceError, DomainError, NumericError, ShapeError
-
-# a pair stops rotating once |a_p . a_q| <= JACOBI_TOL * |a_p| |a_q|
-JACOBI_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 64
-
-# power iteration runs at most POWER_CAP_FACTOR * max(d, n) steps
-POWER_CAP_FACTOR = 10
 
 
 class ThinSVD(NamedTuple):
@@ -43,177 +34,55 @@ def _checked_matrix(M, op):
     return A
 
 
-def _round_robin_pairs(k):
-    # tournament schedule: k-1 rounds (k even) of disjoint column pairs
-    players = list(range(k)) + ([k] if k % 2 else [])
-    m = len(players)
-    rounds = []
-    order = players[:]
-    for _ in range(m - 1):
-        left, right = [], []
-        for i in range(m // 2):
-            a, b = order[i], order[m - 1 - i]
-            if a < k and b < k:
-                left.append(min(a, b))
-                right.append(max(a, b))
-        if left:
-            rounds.append((np.asarray(left), np.asarray(right)))
-        order = [order[0], order[-1], *order[1:-1]]
-    return rounds
+def _svd(A, op, compute_uv=True):
+    try:
+        return np.linalg.svd(A, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{op}: LAPACK SVD did not converge ({exc})") from None
 
 
-def _fill_orthonormal(U, fill, valid):
-    # replace the columns listed in fill with canonical directions made
-    # orthonormal against the currently valid columns; greedy and exact
-    d = U.shape[0]
-    valid = list(valid)
-    for j in fill:
-        W = U[:, valid] if valid else np.zeros((d, 0))
-        R = np.eye(d) - W @ W.T
-        pick = int(np.argmax(np.linalg.norm(R, axis=0)))
-        u = R[:, pick]
-        if valid:
-            u = u - W @ (W.T @ u)
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            raise NumericError("cannot complete an orthonormal basis")
-        U[:, j] = u / nrm
-        valid.append(j)
-    return U
-
-
-def thin_svd(M, max_sweeps: int = JACOBI_MAX_SWEEPS, tol: float = JACOBI_TOL) -> ThinSVD:
+def thin_svd(M) -> ThinSVD:
     """Thin singular value decomposition M = U diag(sigma) V^T.
 
     Parameters
     ----------
     M : array_like, shape (d, k) with d >= k
-    max_sweeps : int
-        Sweep budget for the Jacobi iteration.
-    tol : float
-        Relative off-diagonal threshold below which a column pair counts as
-        orthogonal.
 
     Returns
     -------
     ThinSVD
         U is d x k with orthonormal columns, sigma is nonincreasing and
-        nonnegative, V is k x k orthogonal.  Zero singular values get
-        deterministically completed U columns.
+        nonnegative, V is k x k orthogonal.  Zero singular values still get
+        orthonormal U columns.
     """
-    A = _checked_matrix(M, "thin_svd").copy()
+    A = _checked_matrix(M, "thin_svd")
     d, k = A.shape
     if d < k:
         raise ShapeError(f"thin_svd needs rows >= cols, got shape {(d, k)}")
-    V = np.eye(k)
-    if k > 1:
-        rounds = _round_robin_pairs(k)
-        for _ in range(max_sweeps):
-            worst = 0.0
-            for left, right in rounds:
-                Ap, Aq = A[:, left], A[:, right]
-                app = np.einsum("ij,ij->j", Ap, Ap)
-                aqq = np.einsum("ij,ij->j", Aq, Aq)
-                apq = np.einsum("ij,ij->j", Ap, Aq)
-                denom = np.sqrt(app * aqq)
-                rel = np.divide(np.abs(apq), denom, out=np.zeros_like(apq), where=denom > 0.0)
-                worst = max(worst, float(rel.max()))
-                rot = rel > tol
-                if not rot.any():
-                    continue
-                lp, rq = left[rot], right[rot]
-                tau = (aqq[rot] - app[rot]) / (2.0 * apq[rot])
-                t = np.where(
-                    tau == 0.0,
-                    1.0,
-                    np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
-                )
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                Ap, Aq = A[:, lp], A[:, rq]
-                A[:, lp], A[:, rq] = Ap * c - Aq * s, Ap * s + Aq * c
-                Vp, Vq = V[:, lp], V[:, rq]
-                V[:, lp], V[:, rq] = Vp * c - Vq * s, Vp * s + Vq * c
-            if worst <= tol:
-                break
-        else:
-            raise ConvergenceError(
-                f"Jacobi iteration did not orthogonalize in {max_sweeps} sweeps",
-                estimate=np.sqrt(np.einsum("ij,ij->j", A, A)),
-            )
-    sigma = np.sqrt(np.einsum("ij,ij->j", A, A))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    A = A[:, order]
-    V = V[:, order]
-    cutoff = max(d, k) * np.finfo(float).eps * (sigma[0] if sigma[0] > 0.0 else 1.0)
-    good = sigma > cutoff
-    U = np.zeros((d, k))
-    U[:, good] = A[:, good] / sigma[good]
-    if not good.all():
-        _fill_orthonormal(U, np.flatnonzero(~good), np.flatnonzero(good))
-    return ThinSVD(U, sigma, V)
+    U, sigma, Vt = _svd(A, "thin_svd")
+    return ThinSVD(U, sigma, Vt.T)
 
 
 def polar_factor(M) -> np.ndarray:
     """Orthonormal polar factor U V^T of a d x k matrix, d >= k.
 
     This is the maximizer of <Z, M> over Stiefel points Z; for rank-deficient
-    M the free directions are completed deterministically by thin_svd.
+    M the free directions are whatever orthonormal completion LAPACK returns,
+    which is deterministic for a fixed build.
     """
     U, _, V = thin_svd(M)
     return U @ V.T
 
 
-def spectral_norm(M, tol: float = 1e-6, seed: int = 0) -> float:
-    """Largest singular value of M, via power iteration on the smaller Gram.
-
-    The start vector is drawn from a generator seeded with ``seed``, so the
-    result is reproducible.  Iteration stops when the Gram residual drops
-    below ``tol`` relative or after ``POWER_CAP_FACTOR * max(d, n)`` steps;
-    the returned value is the Rayleigh estimate plus its residual bound, so
-    a converged call never understates sigma_1 by more than about tol.
-    """
+def spectral_norm(M) -> float:
+    """Largest singular value of M."""
     A = _checked_matrix(M, "spectral_norm")
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    d, n = A.shape
-    G = A @ A.T if d <= n else A.T @ A
-    m = G.shape[0]
-    v = np.random.default_rng(seed).standard_normal(m)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:  # cannot happen with a Gaussian draw; keep the guard cheap
-        v = np.ones(m)
-        nrm = np.sqrt(m)
-    v /= nrm
-    rho = 0.0
-    resid = 0.0
-    for _ in range(POWER_CAP_FACTOR * max(d, n)):
-        w = G @ v
-        rho = float(v @ w)
-        resid = float(np.linalg.norm(w - rho * v))
-        if resid <= tol * max(rho, np.finfo(float).tiny):
-            break
-        wn = np.linalg.norm(w)
-        if wn == 0.0:
-            return 0.0
-        v = w / wn
-    return float(np.sqrt(max(rho, 0.0) + resid))
-
-
-def _left_factor(X: DataMatrix):
-    # thin_svd needs a tall operand; route through the transpose when wide
-    if X.d >= X.n:
-        U, sigma, _ = thin_svd(X.values)
-        return U, sigma
-    U, sigma, V = thin_svd(X.values.T)
-    return V, sigma
+    return float(_svd(A, "spectral_norm", compute_uv=False)[0])
 
 
 def singular_values(X: DataMatrix) -> np.ndarray:
     """All min(d, n) singular values of X, nonincreasing."""
-    _, sigma = _left_factor(X)
-    return sigma
+    return _svd(X.values, "singular_values", compute_uv=False)
 
 
 def top_k_left_singular(X: DataMatrix, k: int) -> StiefelPoint:
@@ -225,7 +94,7 @@ def top_k_left_singular(X: DataMatrix, k: int) -> StiefelPoint:
     p = min(X.d, X.n)
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= p):
         raise DomainError(f"k must lie in [1, {p}], got {k!r}")
-    left, sigma = _left_factor(X)
+    left, sigma, _ = _svd(X.values, "top_k_left_singular")
     if k < p and sigma[k - 1] - sigma[k] <= 1e-10:
         warnings.warn(
             f"singular value gap at k = {k} is degenerate "

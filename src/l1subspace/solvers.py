@@ -108,17 +108,6 @@ class RunReport:
     tev: float | None = None
 
 
-@dataclass
-class SolverState:
-    """Mutable loop state: counter, current triple, extrapolated projector,
-    and the Q-step parameter used in the latest sweep."""
-
-    k: int
-    C: IterateTriple
-    E: np.ndarray | None
-    beta_k: float | None
-
-
 def extrapolate(Q: StiefelPoint, Q_prev: StiefelPoint, gamma: float) -> np.ndarray:
     """Extrapolated projector E = Q Q^T + gamma (Q Q^T - Q_prev Q_prev^T)."""
     if not (isinstance(gamma, (int, float)) and 0.0 <= gamma <= 1.0):
@@ -169,20 +158,18 @@ def update_Q(Q: StiefelPoint, P_next: SignMatrix, X: DataMatrix, beta: float) ->
     return StiefelPoint(polar_factor(M))
 
 
-def gamma_star(alpha_star: float, beta_star: float, X: DataMatrix, seed: int = 0) -> float:
+def gamma_star(alpha_star: float, beta_star: float, X: DataMatrix) -> float:
     """Extrapolation cap gamma* = min(1, alpha_star beta_star / (8 ||X||^2))."""
     for name, value in (("alpha_star", alpha_star), ("beta_star", beta_star)):
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    norm = spectral_norm(X.values, tol=1e-6, seed=seed)
+    norm = spectral_norm(X.values)
     if norm == 0.0:
         return 1.0
     return min(1.0, alpha_star * beta_star / (8.0 * norm * norm))
 
 
-def adaptive_beta(
-    X: DataMatrix, P: SignMatrix, beta_star: float, beta_sup: float, seed: int = 0
-) -> float:
+def adaptive_beta(X: DataMatrix, P: SignMatrix, beta_star: float, beta_sup: float) -> float:
     """Theory-mode Q-step parameter (3/2) beta_star + 2 ||X P||_2.
 
     Raises InfeasibleBoundError when the value would exceed beta_sup.
@@ -191,7 +178,7 @@ def adaptive_beta(
         raise DomainError(f"beta_star must be positive and finite, got {beta_star!r}")
     if P.values.shape != (X.n, X.d):
         raise ShapeError(f"P must be {X.n} x {X.d}, got {P.values.shape}")
-    b = 1.5 * beta_star + 2.0 * spectral_norm(X.values @ P.values, tol=1e-6, seed=seed)
+    b = 1.5 * beta_star + 2.0 * spectral_norm(X.values @ P.values)
     if b > beta_sup:
         raise InfeasibleBoundError(
             f"adaptive beta {b:.6g} exceeds the configured bound beta_sup = {beta_sup:.6g}"
@@ -292,12 +279,13 @@ def solve(
     gamma = float(config.gamma)
     trace = RunTrace()
     if config.theory_mode:
-        gs = gamma_star(config.alpha, config.beta_mode.beta_star, X, seed=config.seed)
+        gs = gamma_star(config.alpha, config.beta_mode.beta_star, X)
         gamma = max(0.0, min(gamma, gs - GAMMA_MARGIN))
         assert gamma < gs
         trace.gamma_star = gs
 
-    state = SolverState(k=0, C=IterateTriple(P, Q, Q), E=None, beta_k=None)
+    C = IterateTriple(P, Q, Q)
+    iterations = 0
     h0 = objective_h(P, Q, X)
     _record(trace, snapshots, 0, h0, h0, math.nan, math.nan, math.nan,
             time.perf_counter() - t0, Q)
@@ -307,24 +295,23 @@ def solve(
     stop_reason = "max_iters"
     final_gap = math.nan
     for k in range(1, config.max_iters + 1):
-        C = state.C
-        state.E = extrapolate(C.Q, C.Q_prev, gamma)
-        P_next = update_P(C.P, X, state.E, config.alpha)
+        E = extrapolate(C.Q, C.Q_prev, gamma)
+        P_next = update_P(C.P, X, E, config.alpha)
         if isinstance(config.beta_mode, AdaptiveBeta):
             bm = config.beta_mode
-            state.beta_k = max(
-                adaptive_beta(X, C.P, bm.beta_star, bm.beta_sup, seed=config.seed),
-                adaptive_beta(X, P_next, bm.beta_star, bm.beta_sup, seed=config.seed),
+            beta_k = max(
+                adaptive_beta(X, C.P, bm.beta_star, bm.beta_sup),
+                adaptive_beta(X, P_next, bm.beta_star, bm.beta_sup),
             )
         else:
-            state.beta_k = config.beta_mode.value
-        Q_next = update_Q(C.Q, P_next, X, state.beta_k)
+            beta_k = config.beta_mode.value
+        Q_next = update_Q(C.Q, P_next, X, beta_k)
 
         dP = float(np.linalg.norm(P_next.values - C.P.values))
         dQ = float(np.linalg.norm(Q_next.values - C.Q.values))
         gap = math.sqrt(dP * dP + dQ * dQ + dQ_prev * dQ_prev)
-        state.C = IterateTriple(P_next, Q_next, C.Q)
-        state.k = k
+        C = IterateTriple(P_next, Q_next, C.Q)
+        iterations = k
 
         hk = objective_h(P_next, Q_next, X)
         phik = hk + 0.5 * beta_star_phi * dQ * dQ
@@ -338,7 +325,7 @@ def solve(
         dQ_prev = dQ
         final_gap = gap
 
-    P, Q = state.C.P, state.C.Q
+    P, Q = C.P, C.Q
     try:
         crit = criticality_residual(Q, P, X)
     except SelectionError:
@@ -352,7 +339,7 @@ def solve(
         criticality=crit,
         alpha_condition_holds=check_alpha_condition(X, Q, config.alpha),
         stop_reason=stop_reason,
-        iterations=state.k,
+        iterations=iterations,
         wall_time=time.perf_counter() - t0,
         final_gap=final_gap,
     )
@@ -375,7 +362,7 @@ def sufficient_decrease_check(
     if gs is None:
         if X is None:
             raise DomainError("trace lacks gamma_star; pass X to recompute it")
-        gs = gamma_star(config.alpha, bm.beta_star, X, seed=config.seed)
+        gs = gamma_star(config.alpha, bm.beta_star, X)
     alpha_term = config.alpha * (1.0 - gs) / 2.0
     kappa1 = min(alpha_term, bm.beta_sup / 4.0)
     kappa1_weak = min(alpha_term, bm.beta_star / 4.0)

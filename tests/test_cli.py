@@ -224,6 +224,24 @@ class TestSolve:
     def test_k_larger_than_d_is_config_error(self, tmp_path, small_csv):
         assert run_cli(*solve_args(tmp_path / "o", small_csv, k=50)) == 2
 
+    def test_failed_factorization_is_solver_error(self, tmp_path, small_csv,
+                                                  monkeypatch, capsys):
+        # the starting point factorizes; every SVD inside the solver fails
+        real_svd = np.linalg.svd
+        calls = []
+
+        def svd_failing_after_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                return real_svd(*args, **kwargs)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", svd_failing_after_first)
+        assert run_cli(*solve_args(tmp_path / "o", small_csv)) == 4
+        err = capsys.readouterr().err
+        assert "solver failed" in err
+        assert "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # bench

@@ -399,6 +399,22 @@ class TestCorruptImage:
         vals = np.full((4, 4), 42.0)
         assert np.array_equal(_rescale_to_range(vals), vals)
 
+    def test_rescale_never_leaves_the_range(self):
+        # unclipped, the span 11 maps its maximum to 255.00000000000003
+        assert _rescale_to_range(np.array([0.0, 11.0])).max() == 255.0
+        for span in range(1, 1000):
+            out = _rescale_to_range(np.array([0.0, float(span)]))
+            assert out.min() >= 0.0 and out.max() <= 255.0, span
+
+    def test_smooth_60x60_image_block_7_stays_valid(self):
+        rng = np.random.default_rng(7)
+        ramp = np.linspace(0.0, 1.0, 60)
+        pixels = 150.0 * np.outer(ramp, ramp) + 80.0 * np.outer(1.0 - ramp, np.sin(np.pi * ramp))
+        pixels += rng.random((60, 60)) * 12.0
+        clean = GrayImage(np.clip(np.round(pixels), 0.0, 255.0))
+        out = corrupt_image(clean, 7, np.random.default_rng([3, 7]))
+        assert out.pixels.min() == 0.0 and out.pixels.max() == 255.0
+
 
 # ---------------------------------------------------------------------------
 # stacking images into data matrices

@@ -269,7 +269,7 @@ def test_check_alpha_condition_thresholds():
 
 def practical_config(**kw):
     base = dict(alpha=1e-6, beta_mode=FixedBeta(10.0), gamma=1.0,
-                max_iters=2000, tol=1e-6, seed=0)
+                max_iters=2000, tol=1e-6)
     base.update(kw)
     return SolverConfig(**base)
 
@@ -399,7 +399,7 @@ def test_solve_tight_tolerance_reaches_stationarity():
 
 def theory_config(**kw):
     base = dict(alpha=1e-6, beta_mode=AdaptiveBeta(1.0, 1e9), gamma=1.0,
-                max_iters=150, tol=1e-8, seed=0, theory_mode=True)
+                max_iters=150, tol=1e-8, theory_mode=True)
     base.update(kw)
     return SolverConfig(**base)
 
