@@ -238,8 +238,15 @@ def objective_h(P: SignMatrix, Q: StiefelPoint, X: DataMatrix) -> float:
         raise ShapeError(
             f"P must be {X.n} x {X.d} to match X, got {P.values.shape}"
         )
-    T = (X.values.T @ Q.values) @ Q.values.T
-    return -float(np.vdot(P.values, T))
+    return h_from_factors(P.values, Q.values, X.values.T @ Q.values)
+
+
+def h_from_factors(P: np.ndarray, Q: np.ndarray, XtQ: np.ndarray) -> float:
+    """h(P, Q) = -<P Q, X^T Q> from plain arrays, given the n x K product X^T Q.
+
+    This equals -<P, X^T Q Q^T> without forming that n x d matrix.
+    """
+    return -float(np.vdot(P @ Q, XtQ))
 
 
 def potential_phi(C: IterateTriple, beta_star: float, X: DataMatrix) -> float:
@@ -262,4 +269,5 @@ def sign_select(M: np.ndarray, P_prev: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise NumericError("sign_select input has non-finite entries")
     s = np.sign(M)
-    return np.where(s != 0.0, s, P_prev)
+    np.copyto(s, P_prev, where=s == 0.0)
+    return s

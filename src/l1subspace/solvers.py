@@ -6,6 +6,15 @@ whose solution is an orthogonal Procrustes problem, solved by the polar
 factor.  A quadratic extrapolation of the projector Q Q^T accelerates the
 sign step; gamma = 0 recovers the plain scheme.
 
+Both steps only ever see the data through rank-K products.  The sign step
+needs X^T E for the extrapolated projector E = (1+gamma) Q Q^T -
+gamma Q' Q'^T, which is [X^T Q, X^T Q'] [(1+gamma) Q^T; -gamma Q'^T]; the
+Q step needs S Q for S = XP + (XP)^T, which is X (P Q) + P^T (X^T Q).
+``solve`` carries X^T Q from one sweep to the next, so a sweep of a d x n
+problem costs O(ndK) time and O(nd) memory and never forms a d x d matrix.
+The one exception is theory mode's ``adaptive_beta``, which takes the
+spectral norm of the d x d matrix XP.
+
 Two parameter regimes are supported.  The practical regime takes a fixed
 Q-step parameter beta and any gamma in [0, 1].  The theory regime derives
 beta each sweep from the current sign block and caps gamma strictly below
@@ -28,7 +37,7 @@ from .core import (
     SignMatrix,
     SolverConfig,
     StiefelPoint,
-    objective_h,
+    h_from_factors,
     objective_l,
     sign_select,
 )
@@ -109,7 +118,11 @@ class RunReport:
 
 
 def extrapolate(Q: StiefelPoint, Q_prev: StiefelPoint, gamma: float) -> np.ndarray:
-    """Extrapolated projector E = Q Q^T + gamma (Q Q^T - Q_prev Q_prev^T)."""
+    """Extrapolated projector E = Q Q^T + gamma (Q Q^T - Q_prev Q_prev^T).
+
+    This is the dense d x d reference; ``solve`` never forms it and works
+    with X^T E through ``_xt_extrapolated`` instead.
+    """
     if not (isinstance(gamma, (int, float)) and 0.0 <= gamma <= 1.0):
         raise DomainError(f"gamma must lie in [0, 1], got {gamma!r}")
     if Q_prev.values.shape != Q.values.shape:
@@ -120,6 +133,36 @@ def extrapolate(Q: StiefelPoint, Q_prev: StiefelPoint, gamma: float) -> np.ndarr
     if gamma == 0.0:
         return G
     return G + gamma * (G - Q_prev.values @ Q_prev.values.T)
+
+
+def _xt_extrapolated(
+    XtQ: np.ndarray, XtQ_prev: np.ndarray, Q: np.ndarray, Q_prev: np.ndarray, gamma: float
+) -> np.ndarray:
+    """X^T E for E = extrapolate(Q, Q_prev, gamma), as one n x 2K by 2K x d product."""
+    if gamma == 0.0:
+        return XtQ @ Q.T
+    return np.hstack([XtQ, XtQ_prev]) @ np.vstack([(1.0 + gamma) * Q.T, -gamma * Q_prev.T])
+
+
+def _sign_step(P: np.ndarray, XtE: np.ndarray, alpha: float) -> SignMatrix:
+    """Sign step from the n x d product X^T E, however E was represented."""
+    # built in place: on n >> d data the page faults of every extra n x d
+    # temporary cost more than the arithmetic of the sign step
+    M = XtE / alpha
+    M += P
+    return SignMatrix(sign_select(M, P))
+
+
+def _s_times(X: np.ndarray, P: np.ndarray, Q: np.ndarray, XtQ: np.ndarray) -> np.ndarray:
+    """S Q for S = XP + (XP)^T, evaluated as X (P Q) + P^T (X^T Q)."""
+    return X @ (P @ Q) + P.T @ XtQ
+
+
+def _q_step(Q: StiefelPoint, SQ: np.ndarray, beta: float) -> StiefelPoint:
+    """Procrustes step from the d x K product S Q; Q itself when S Q = 0."""
+    if not SQ.any():
+        return Q
+    return StiefelPoint(polar_factor(Q.values + SQ / beta))
 
 
 def update_P(P: SignMatrix, X: DataMatrix, E: np.ndarray, alpha: float) -> SignMatrix:
@@ -135,7 +178,7 @@ def update_P(P: SignMatrix, X: DataMatrix, E: np.ndarray, alpha: float) -> SignM
         raise ShapeError(f"E must be {X.d} x {X.d}, got {E.shape}")
     if P.values.shape != (X.n, X.d):
         raise ShapeError(f"P must be {X.n} x {X.d}, got {P.values.shape}")
-    return SignMatrix(sign_select(P.values + (X.values.T @ E) / alpha, P.values))
+    return _sign_step(P.values, X.values.T @ E, alpha)
 
 
 def update_Q(Q: StiefelPoint, P_next: SignMatrix, X: DataMatrix, beta: float) -> StiefelPoint:
@@ -150,12 +193,8 @@ def update_Q(Q: StiefelPoint, P_next: SignMatrix, X: DataMatrix, beta: float) ->
         raise ShapeError(f"P must be {X.n} x {X.d}, got {P_next.values.shape}")
     if Q.d != X.d:
         raise ShapeError(f"Q has {Q.d} rows but X has {X.d} rows")
-    XP = X.values @ P_next.values
-    S = XP + XP.T
-    if not S.any():
-        return Q
-    M = Q.values + (S @ Q.values) / beta
-    return StiefelPoint(polar_factor(M))
+    SQ = _s_times(X.values, P_next.values, Q.values, X.values.T @ Q.values)
+    return _q_step(Q, SQ, beta)
 
 
 def gamma_star(alpha_star: float, beta_star: float, X: DataMatrix) -> float:
@@ -199,15 +238,15 @@ def criticality_residual(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> float
             f"inconsistent shapes: X is {X.d} x {X.n}, Q is {Q.d} x {Q.k}, "
             f"P is {P.values.shape}"
         )
-    T = (X.values.T @ Q.values) @ Q.values.T
+    XtQ = X.values.T @ Q.values
+    T = XtQ @ Q.values.T
     nz = np.abs(T) > ZERO_TOL
     if not np.array_equal(np.sign(T)[nz], P.values[nz]):
         bad = int(np.sum(np.sign(T)[nz] != P.values[nz]))
         raise SelectionError(
             f"P disagrees with sign(X^T Q Q^T) at {bad} nonzero entries"
         )
-    XP = X.values @ P.values
-    G = -(XP + XP.T) @ Q.values
+    G = -_s_times(X.values, P.values, Q.values, XtQ)
     QtG = Q.values.T @ G
     R = G - Q.values @ ((QtG + QtG.T) / 2.0)
     return float(np.linalg.norm(R))
@@ -266,9 +305,11 @@ def solve(
     t0 = time.perf_counter()
 
     Q = init_Q
+    # X^T Q of the current and the previous Q, carried between sweeps
+    XtQ = X.values.T @ Q.values
+    XtQ_prev = XtQ
     if init_P is None:
-        T0 = (X.values.T @ Q.values) @ Q.values.T
-        P = SignMatrix(sign_select(T0, np.ones((X.n, X.d))))
+        P = SignMatrix(sign_select(XtQ @ Q.values.T, np.ones((X.n, X.d))))
     else:
         if init_P.values.shape != (X.n, X.d):
             raise ShapeError(
@@ -286,7 +327,7 @@ def solve(
 
     C = IterateTriple(P, Q, Q)
     iterations = 0
-    h0 = objective_h(P, Q, X)
+    h0 = h_from_factors(P.values, Q.values, XtQ)
     _record(trace, snapshots, 0, h0, h0, math.nan, math.nan, math.nan,
             time.perf_counter() - t0, Q)
 
@@ -295,8 +336,9 @@ def solve(
     stop_reason = "max_iters"
     final_gap = math.nan
     for k in range(1, config.max_iters + 1):
-        E = extrapolate(C.Q, C.Q_prev, gamma)
-        P_next = update_P(C.P, X, E, config.alpha)
+        Qv = C.Q.values
+        XtE = _xt_extrapolated(XtQ, XtQ_prev, Qv, C.Q_prev.values, gamma)
+        P_next = _sign_step(C.P.values, XtE, config.alpha)
         if isinstance(config.beta_mode, AdaptiveBeta):
             bm = config.beta_mode
             beta_k = max(
@@ -305,7 +347,8 @@ def solve(
             )
         else:
             beta_k = config.beta_mode.value
-        Q_next = update_Q(C.Q, P_next, X, beta_k)
+        Q_next = _q_step(C.Q, _s_times(X.values, P_next.values, Qv, XtQ), beta_k)
+        XtQ_prev, XtQ = XtQ, X.values.T @ Q_next.values
 
         dP = float(np.linalg.norm(P_next.values - C.P.values))
         dQ = float(np.linalg.norm(Q_next.values - C.Q.values))
@@ -313,7 +356,7 @@ def solve(
         C = IterateTriple(P_next, Q_next, C.Q)
         iterations = k
 
-        hk = objective_h(P_next, Q_next, X)
+        hk = h_from_factors(P_next.values, Q_next.values, XtQ)
         phik = hk + 0.5 * beta_star_phi * dQ * dQ
         _record(trace, snapshots, k, phik, hk, dP, dQ, gap,
                 time.perf_counter() - t0, Q_next)

@@ -1,0 +1,84 @@
+"""Property tests: every rank-K product a sweep uses equals its dense form.
+
+``solve`` never builds the d x d matrices E, XP or S; it evaluates X^T E,
+S Q, the objective h and the criticality residual from X^T Q and friends.
+Each test below draws a small problem and compares the factored value with
+the dense formula to 1e-10 relative.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from l1subspace.core import DataMatrix, SignMatrix, StiefelPoint, objective_h, sign_select
+from l1subspace.linalg import polar_factor
+from l1subspace.solvers import (
+    _s_times,
+    _xt_extrapolated,
+    criticality_residual,
+    extrapolate,
+)
+
+RTOL = 1e-10
+
+
+@st.composite
+def problems(draw):
+    """A centered d x n matrix (some entries exactly zero), two Stiefel
+    points with K <= min(d, n), a sign block, and gamma in [0, 1]."""
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, min(d, n)))
+    gamma = draw(st.floats(0.0, 1.0))
+    sparsity = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((d, n)) * (rng.random((d, n)) >= sparsity)
+    X = DataMatrix(values - values.mean(axis=1, keepdims=True), centered=True)
+    Q = StiefelPoint(polar_factor(rng.standard_normal((d, k))))
+    Q_prev = StiefelPoint(polar_factor(rng.standard_normal((d, k))))
+    P = SignMatrix(np.where(rng.random((n, d)) < 0.5, -1.0, 1.0))
+    return X, Q, Q_prev, P, gamma
+
+
+def assert_close(got, want):
+    err = float(np.linalg.norm(np.asarray(got) - np.asarray(want)))
+    assert err <= RTOL * max(float(np.linalg.norm(want)), 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems())
+def test_sign_step_input_matches_dense_extrapolation(problem):
+    X, Q, Q_prev, _, gamma = problem
+    Xt = X.values.T
+    got = _xt_extrapolated(Xt @ Q.values, Xt @ Q_prev.values, Q.values, Q_prev.values, gamma)
+    assert_close(got, Xt @ extrapolate(Q, Q_prev, gamma))
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems())
+def test_s_times_q_matches_dense_s(problem):
+    X, Q, _, P, _ = problem
+    XP = X.values @ P.values
+    got = _s_times(X.values, P.values, Q.values, X.values.T @ Q.values)
+    assert_close(got, (XP + XP.T) @ Q.values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems())
+def test_criticality_residual_matches_dense_formula(problem):
+    X, Q, _, _, _ = problem
+    Q_ = Q.values
+    P = sign_select((X.values.T @ Q_) @ Q_.T, np.ones((X.n, X.d)))
+    XP = X.values @ P
+    G = -(XP + XP.T) @ Q_
+    QtG = Q_.T @ G
+    want = np.linalg.norm(G - Q_ @ ((QtG + QtG.T) / 2.0))
+    assert_close(criticality_residual(Q, SignMatrix(P), X), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems())
+def test_objective_h_matches_dense_inner_product(problem):
+    X, Q, _, P, _ = problem
+    want = -float(np.vdot(P.values, (X.values.T @ Q.values) @ Q.values.T))
+    assert_close(objective_h(P, Q, X), want)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,6 +367,28 @@ def test_palm_specialization_is_bit_identical():
     for k, snap in zip(rep.trace.snapshot_iters, rep.trace.q_snapshots):
         assert np.array_equal(snap, qs[k])
     assert np.array_equal(rep.final_P.values, P.values)
+
+
+def test_tall_problem_never_forms_a_d_by_d_matrix():
+    # at d = 4000 one d x d float matrix is 128 MB; a sweep's arrays are n x d
+    # or d x K (192 kB here), so the whole run must stay far below that
+    rng = np.random.default_rng(21)
+    X = random_centered(4000, 6, rng)
+    cfg = practical_config(max_iters=5, tol=1e-14)
+    tracemalloc.start()
+    try:
+        rep = solve(X, cfg, random_stiefel(4000, 2, 0), snapshots=False)
+        # after 5 sweeps final_P need not match sign(X^T Q Q^T) yet; rebuild
+        # it so the residual runs its full S Q path instead of the sign check
+        Q = rep.final_Q.values
+        P = SignMatrix(sign_select((X.values.T @ Q) @ Q.T, np.ones((6, 4000))))
+        residual = criticality_residual(rep.final_Q, P, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == 5
+    assert np.isfinite(residual)
+    assert peak < 16 * 2**20
 
 
 def test_solve_restart_from_converged_point_stays_put():
