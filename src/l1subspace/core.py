@@ -89,7 +89,7 @@ class SignMatrix:
 
     def __post_init__(self):
         vals = _frozen_array(self, "values", self.values)
-        if not np.all(np.abs(vals) == 1.0):
+        if not np.all((vals == 1.0) | (vals == -1.0)):
             raise FeasibilityError("sign matrix entries must be exactly +1 or -1")
 
     @property

@@ -145,10 +145,16 @@ def _xt_extrapolated(
 
 
 def _sign_step(P: np.ndarray, XtE: np.ndarray, alpha: float) -> SignMatrix:
-    """Sign step from the n x d product X^T E, however E was represented."""
-    # built in place: on n >> d data the page faults of every extra n x d
-    # temporary cost more than the arithmetic of the sign step
-    M = XtE / alpha
+    """Sign step from the n x d product X^T E, however E was represented.
+
+    XtE is overwritten; callers pass a freshly computed product.
+    """
+    # built in XtE's own storage: on n >> d data the page faults of every
+    # extra n x d temporary cost more than the arithmetic of the sign step.
+    # The sign itself goes to a new array: numpy's np.sign(M, out=M) runs
+    # several times slower than writing to separate storage.
+    M = XtE
+    M /= alpha
     M += P
     return SignMatrix(sign_select(M, P))
 
@@ -350,7 +356,8 @@ def solve(
         Q_next = _q_step(C.Q, _s_times(X.values, P_next.values, Qv, XtQ), beta_k)
         XtQ_prev, XtQ = XtQ, X.values.T @ Q_next.values
 
-        dP = float(np.linalg.norm(P_next.values - C.P.values))
+        # entries are +/-1, so each flipped sign adds 4 to ||P_next - P||^2
+        dP = 2.0 * math.sqrt(np.count_nonzero(P_next.values != C.P.values))
         dQ = float(np.linalg.norm(Q_next.values - C.Q.values))
         gap = math.sqrt(dP * dP + dQ * dQ + dQ_prev * dQ_prev)
         C = IterateTriple(P_next, Q_next, C.Q)
