@@ -58,6 +58,7 @@ from .solvers import (
     RunTrace,
     check_alpha_condition,
     criticality_residual,
+    sign_mismatch,
     solve,
     sufficient_decrease_check,
 )
@@ -452,7 +453,7 @@ def cmd_solve(args) -> int:
         init_Q = random_stiefel(X.d, resolved["k"], seed=resolved["seed"])
     except (DomainError, ShapeError) as exc:
         raise CliError(EXIT_CONFIG, f"invalid subspace dimension: {exc}") from None
-    report = _run_solver(X, config, init_Q)
+    report = _run_solver(X, config, init_Q, snapshots=False)
     tev_value = None
     if resolved["tev"]:
         try:
@@ -844,10 +845,34 @@ def cmd_check(args) -> int:
     except (OSError, ParseError, FeasibilityError, ShapeError, NumericError) as exc:
         raise CliError(EXIT_DATA, f"corrupt run artifacts: {exc}") from None
 
+    try:
+        alpha = float(stored_config["alpha"])
+        holds = check_alpha_condition(X, final_Q, alpha)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise CliError(EXIT_DATA, f"corrupt report config: {exc}") from None
+    print(f"alpha condition: {'holds' if holds else 'does not hold'} (informational)")
+
     checks: list[tuple[str, bool, str]] = []
 
     bound = 1e-5 * (1.0 + float(np.linalg.norm(X.values)))
-    try:
+    stale = sign_mismatch(final_Q, final_P, X)
+    if stale.size:
+        detail = (
+            f"sign block inconsistent: P disagrees with sign(X^T Q Q^T) at "
+            f"{stale.size} nonzero entries"
+        )
+        above = int(np.count_nonzero(stale > alpha))
+        if above:
+            detail += f", {above} of them above alpha = {alpha:.3g}"
+        else:
+            # sign(P + X^T E / alpha) keeps P's sign wherever |X^T E| < alpha
+            detail += (
+                f", all at or below alpha = {alpha:.3g} (largest {float(stale.max()):.3e}), "
+                "where the sign step keeps the previous sign: the alpha condition fails"
+            )
+        residual = math.nan
+        checks.append(("criticality", False, detail))
+    else:
         residual = criticality_residual(final_Q, final_P, X)
         checks.append(
             (
@@ -856,9 +881,6 @@ def cmd_check(args) -> int:
                 f"residual {residual:.3e} vs bound {bound:.3e}",
             )
         )
-    except SelectionError as exc:
-        residual = math.nan
-        checks.append(("criticality", False, f"sign block inconsistent: {exc}"))
 
     stored = results.get("criticality")
     if stored is None or math.isnan(residual):
@@ -875,13 +897,6 @@ def cmd_check(args) -> int:
                 f"stored {float(stored):.3e}, recomputed {residual:.3e}",
             )
         )
-
-    try:
-        alpha = float(stored_config["alpha"])
-        holds = check_alpha_condition(X, final_Q, alpha)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CliError(EXIT_DATA, f"corrupt report config: {exc}") from None
-    print(f"alpha condition: {'holds' if holds else 'does not hold'} (informational)")
 
     theory = bool(stored_config.get("theory", False))
     if theory:

@@ -12,8 +12,9 @@ gamma Q' Q'^T, which is [X^T Q, X^T Q'] [(1+gamma) Q^T; -gamma Q'^T]; the
 Q step needs S Q for S = XP + (XP)^T, which is X (P Q) + P^T (X^T Q).
 ``solve`` carries X^T Q from one sweep to the next, so a sweep of a d x n
 problem costs O(ndK) time and O(nd) memory and never forms a d x d matrix.
-The one exception is theory mode's ``adaptive_beta``, which takes the
-spectral norm of the d x d matrix XP.
+Theory mode's adaptive beta needs ||XP||_2 as well.  With the thin SVD
+X = U Sigma V^T, taken once per run, that is ||(Sigma V^T) P||_2, the norm
+of an r x d matrix with r = min(d, n): O(r n d) a sweep.
 
 Two parameter regimes are supported.  The practical regime takes a fixed
 Q-step parameter beta and any gamma in [0, 1].  The theory regime derives
@@ -48,7 +49,7 @@ from .errors import (
     SelectionError,
     ShapeError,
 )
-from .linalg import polar_factor, spectral_norm
+from .linalg import _svd, polar_factor, spectral_norm
 
 # iterations whose index exceeds this are snapshot-thinned to every tenth
 SNAPSHOT_DENSE_LIMIT = 10_000
@@ -74,7 +75,6 @@ class RunTrace:
     dP: list[float] = field(default_factory=list)
     dQ: list[float] = field(default_factory=list)
     gap: list[float] = field(default_factory=list)
-    wall: list[float] = field(default_factory=list)
     snapshot_iters: list[int] = field(default_factory=list)
     q_snapshots: list[np.ndarray] = field(default_factory=list)
     gamma_star: float | None = None
@@ -203,15 +203,39 @@ def update_Q(Q: StiefelPoint, P_next: SignMatrix, X: DataMatrix, beta: float) ->
     return _q_step(Q, SQ, beta)
 
 
+def _data_factor(X: np.ndarray) -> tuple[float, np.ndarray]:
+    """sigma_1 = ||X||_2 and Sigma V^T from the thin SVD X = U Sigma V^T.
+
+    Sigma V^T is r x n with r = min(d, n).  U has orthonormal columns, so
+    ||X M||_2 = ||(Sigma V^T) M||_2 for every M with n rows.
+    """
+    _, sigma, Vt = _svd(X, "data factorization")
+    return float(sigma[0]), sigma[:, None] * Vt
+
+
+def _gamma_cap(alpha_star: float, beta_star: float, sigma1: float) -> float:
+    """gamma* of ``gamma_star`` from sigma_1 = ||X||_2."""
+    if sigma1 == 0.0:
+        return 1.0
+    return min(1.0, alpha_star * beta_star / (8.0 * sigma1 * sigma1))
+
+
+def _beta(SVt: np.ndarray, P: np.ndarray, beta_star: float, beta_sup: float) -> float:
+    """(3/2) beta_star + 2 ||X P||_2 from the factor Sigma V^T of X."""
+    b = 1.5 * beta_star + 2.0 * spectral_norm(SVt @ P)
+    if b > beta_sup:
+        raise InfeasibleBoundError(
+            f"adaptive beta {b:.6g} exceeds the configured bound beta_sup = {beta_sup:.6g}"
+        )
+    return b
+
+
 def gamma_star(alpha_star: float, beta_star: float, X: DataMatrix) -> float:
     """Extrapolation cap gamma* = min(1, alpha_star beta_star / (8 ||X||^2))."""
     for name, value in (("alpha_star", alpha_star), ("beta_star", beta_star)):
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    norm = spectral_norm(X.values)
-    if norm == 0.0:
-        return 1.0
-    return min(1.0, alpha_star * beta_star / (8.0 * norm * norm))
+    return _gamma_cap(alpha_star, beta_star, _data_factor(X.values)[0])
 
 
 def adaptive_beta(X: DataMatrix, P: SignMatrix, beta_star: float, beta_sup: float) -> float:
@@ -223,12 +247,23 @@ def adaptive_beta(X: DataMatrix, P: SignMatrix, beta_star: float, beta_sup: floa
         raise DomainError(f"beta_star must be positive and finite, got {beta_star!r}")
     if P.values.shape != (X.n, X.d):
         raise ShapeError(f"P must be {X.n} x {X.d}, got {P.values.shape}")
-    b = 1.5 * beta_star + 2.0 * spectral_norm(X.values @ P.values)
-    if b > beta_sup:
-        raise InfeasibleBoundError(
-            f"adaptive beta {b:.6g} exceeds the configured bound beta_sup = {beta_sup:.6g}"
+    return _beta(_data_factor(X.values)[1], P.values, beta_star, beta_sup)
+
+
+def sign_mismatch(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> np.ndarray:
+    """Magnitudes of X^T Q Q^T at the entries where P has the opposite sign.
+
+    Entries with magnitude at most ``ZERO_TOL`` count as zero and never
+    disagree.  An empty result means P selects sign(X^T Q Q^T).
+    """
+    if Q.d != X.d or P.values.shape != (X.n, X.d):
+        raise ShapeError(
+            f"inconsistent shapes: X is {X.d} x {X.n}, Q is {Q.d} x {Q.k}, "
+            f"P is {P.values.shape}"
         )
-    return b
+    T = (X.values.T @ Q.values) @ Q.values.T
+    mags = np.abs(T)
+    return mags[(mags > ZERO_TOL) & (np.sign(T) != P.values)]
 
 
 def criticality_residual(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> float:
@@ -237,21 +272,14 @@ def criticality_residual(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> float
     With S = XP + P^T X^T and G = -S Q, the residual is
     ||G - Q sym(Q^T G)||_F, the distance of G from the normal cone at Q.
     P must agree with sign(X^T Q Q^T) wherever that matrix is nonzero
-    (entries with magnitude at most ``ZERO_TOL`` count as zero).
+    (see ``sign_mismatch``); otherwise SelectionError is raised.
     """
-    if Q.d != X.d or P.values.shape != (X.n, X.d):
-        raise ShapeError(
-            f"inconsistent shapes: X is {X.d} x {X.n}, Q is {Q.d} x {Q.k}, "
-            f"P is {P.values.shape}"
-        )
-    XtQ = X.values.T @ Q.values
-    T = XtQ @ Q.values.T
-    nz = np.abs(T) > ZERO_TOL
-    if not np.array_equal(np.sign(T)[nz], P.values[nz]):
-        bad = int(np.sum(np.sign(T)[nz] != P.values[nz]))
+    bad = sign_mismatch(Q, P, X).size
+    if bad:
         raise SelectionError(
             f"P disagrees with sign(X^T Q Q^T) at {bad} nonzero entries"
         )
+    XtQ = X.values.T @ Q.values
     G = -_s_times(X.values, P.values, Q.values, XtQ)
     QtG = Q.values.T @ G
     R = G - Q.values @ ((QtG + QtG.T) / 2.0)
@@ -273,13 +301,12 @@ def check_alpha_condition(X: DataMatrix, Q: StiefelPoint, alpha_star: float) -> 
     return alpha_star < float(mags[nz].min())
 
 
-def _record(trace, snapshots, k, phi, h, dP, dQ, gap, wall, Q):
+def _record(trace, snapshots, k, phi, h, dP, dQ, gap, Q):
     trace.phi.append(phi)
     trace.h.append(h)
     trace.dP.append(dP)
     trace.dQ.append(dQ)
     trace.gap.append(gap)
-    trace.wall.append(wall)
     if snapshots and (k <= SNAPSHOT_DENSE_LIMIT or k % 10 == 0):
         trace.snapshot_iters.append(k)
         trace.q_snapshots.append(Q.values)
@@ -325,8 +352,14 @@ def solve(
 
     gamma = float(config.gamma)
     trace = RunTrace()
+    bm = config.beta_mode
+    adaptive = isinstance(bm, AdaptiveBeta)
+    if adaptive:
+        # beta(P) of each sweep is beta(P_next) of the sweep before
+        sigma1, SVt = _data_factor(X.values)
+        beta_P = _beta(SVt, P.values, bm.beta_star, bm.beta_sup)
     if config.theory_mode:
-        gs = gamma_star(config.alpha, config.beta_mode.beta_star, X)
+        gs = _gamma_cap(config.alpha, bm.beta_star, sigma1)
         gamma = max(0.0, min(gamma, gs - GAMMA_MARGIN))
         assert gamma < gs
         trace.gamma_star = gs
@@ -334,8 +367,7 @@ def solve(
     C = IterateTriple(P, Q, Q)
     iterations = 0
     h0 = h_from_factors(P.values, Q.values, XtQ)
-    _record(trace, snapshots, 0, h0, h0, math.nan, math.nan, math.nan,
-            time.perf_counter() - t0, Q)
+    _record(trace, snapshots, 0, h0, h0, math.nan, math.nan, math.nan, Q)
 
     beta_star_phi = config.beta_star
     dQ_prev = 0.0
@@ -345,14 +377,12 @@ def solve(
         Qv = C.Q.values
         XtE = _xt_extrapolated(XtQ, XtQ_prev, Qv, C.Q_prev.values, gamma)
         P_next = _sign_step(C.P.values, XtE, config.alpha)
-        if isinstance(config.beta_mode, AdaptiveBeta):
-            bm = config.beta_mode
-            beta_k = max(
-                adaptive_beta(X, C.P, bm.beta_star, bm.beta_sup),
-                adaptive_beta(X, P_next, bm.beta_star, bm.beta_sup),
-            )
+        if adaptive:
+            beta_next = _beta(SVt, P_next.values, bm.beta_star, bm.beta_sup)
+            beta_k = max(beta_P, beta_next)
+            beta_P = beta_next
         else:
-            beta_k = config.beta_mode.value
+            beta_k = bm.value
         Q_next = _q_step(C.Q, _s_times(X.values, P_next.values, Qv, XtQ), beta_k)
         XtQ_prev, XtQ = XtQ, X.values.T @ Q_next.values
 
@@ -365,8 +395,7 @@ def solve(
 
         hk = h_from_factors(P_next.values, Q_next.values, XtQ)
         phik = hk + 0.5 * beta_star_phi * dQ * dQ
-        _record(trace, snapshots, k, phik, hk, dP, dQ, gap,
-                time.perf_counter() - t0, Q_next)
+        _record(trace, snapshots, k, phik, hk, dP, dQ, gap, Q_next)
 
         if gap < config.tol:
             stop_reason = "tolerance"

@@ -2,6 +2,7 @@
 
 import json
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,25 @@ class TestSolve:
         assert "solver failed" in err
         assert "Traceback" not in err
 
+    def test_peak_memory_does_not_grow_with_max_iters(self, tmp_path):
+        # solve writes no Q snapshot, so it must not keep one per sweep
+        # (48 kB each at d = 3000, K = 2: 9 MB over 190 extra sweeps)
+        data = tmp_path / "tall.csv"
+        write_csv_matrix(np.random.default_rng(3).standard_normal((3000, 6)), data)
+        peaks = []
+        for sweeps in (10, 200):
+            out = tmp_path / f"run{sweeps}"
+            tracemalloc.start()
+            try:
+                code = run_cli(*solve_args(out, data, tol=1e-300, max_iters=sweeps))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["results"]["iterations"] == sweeps
+        assert peaks[1] < peaks[0] + 2 * 2**20
+
 
 # ---------------------------------------------------------------------------
 # bench
@@ -438,11 +458,33 @@ class TestCheck:
         write_csv_matrix(Q * 1.1, finished_run / "final_Q.csv")
         assert run_cli("check", "--run", finished_run) == 3
 
-    def test_tampered_p_fails_checks(self, finished_run):
+    def test_tampered_p_fails_checks(self, finished_run, capsys):
         P = read_csv_matrix(finished_run / "final_P.csv")
         P[:, 0] = -P[:, 0]
         write_csv_matrix(P, finished_run / "final_P.csv")
         assert run_cli("check", "--run", finished_run) == 5
+        assert "of them above alpha" in capsys.readouterr().out
+
+    def test_stale_sign_block_is_explained(self, finished_run, capsys):
+        # flip P where |X^T Q Q^T| is smallest and put alpha above it: the
+        # sign step could have kept that sign, so check must say the alpha
+        # condition fails there rather than only that P is inconsistent
+        report_path = finished_run / "report.json"
+        report = json.loads(report_path.read_text())
+        X = read_csv_matrix(report["config"]["data"])
+        X = X - X.mean(axis=1, keepdims=True)
+        Q = read_csv_matrix(finished_run / "final_Q.csv")
+        P = read_csv_matrix(finished_run / "final_P.csv")
+        T = np.abs((X.T @ Q) @ Q.T)
+        i, j = np.unravel_index(np.argmin(np.where(T > 1e-12, T, np.inf)), T.shape)
+        P[i, j] = -P[i, j]
+        write_csv_matrix(P, finished_run / "final_P.csv")
+        report["config"]["alpha"] = 2.0 * float(T[i, j])
+        report_path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", finished_run) == 5
+        printed = capsys.readouterr().out
+        assert "at 1 nonzero entries, all at or below alpha" in printed
+        assert "the alpha condition fails" in printed
 
     def test_truncated_trace_on_theory_run(self, tmp_path, small_csv):
         out = tmp_path / "run"

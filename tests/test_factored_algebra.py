@@ -1,18 +1,23 @@
 """Property tests: every rank-K product a sweep uses equals its dense form.
 
 ``solve`` never builds the d x d matrices E, XP or S; it evaluates X^T E,
-S Q, the objective h and the criticality residual from X^T Q and friends.
+S Q, the objective h and the criticality residual from X^T Q and friends,
+and the adaptive beta from the factor Sigma V^T of X = U Sigma V^T.
 Each test below draws a small problem and compares the factored value with
 the dense formula to 1e-10 relative.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1subspace.core import DataMatrix, SignMatrix, StiefelPoint, objective_h, sign_select
-from l1subspace.linalg import polar_factor
+from l1subspace.linalg import polar_factor, spectral_norm
 from l1subspace.solvers import (
+    _beta,
+    _data_factor,
     _s_times,
     _xt_extrapolated,
     criticality_residual,
@@ -82,3 +87,18 @@ def test_objective_h_matches_dense_inner_product(problem):
     X, Q, _, P, _ = problem
     want = -float(np.vdot(P.values, (X.values.T @ Q.values) @ Q.values.T))
     assert_close(objective_h(P, Q, X), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems(), st.integers(0, 3))
+def test_factored_beta_matches_dense_norm(problem, dropped):
+    X, _, _, P, _ = problem
+    # zero the trailing singular values too, so rank-deficient X is covered
+    U, sigma, Vt = np.linalg.svd(X.values, full_matrices=False)
+    sigma[sigma.size - min(dropped, sigma.size):] = 0.0
+    values = (U * sigma) @ Vt
+    sigma1, SVt = _data_factor(values)
+    assert SVt.shape == (min(X.d, X.n), X.n)
+    assert_close(sigma1, spectral_norm(values))
+    want = 1.5 * 2.0 + 2.0 * spectral_norm(values @ P.values)
+    assert_close(_beta(SVt, P.values, 2.0, math.inf), want)

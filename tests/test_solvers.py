@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from l1subspace import solvers
 from l1subspace.core import (
     AdaptiveBeta,
     DataMatrix,
@@ -21,7 +22,7 @@ from l1subspace.errors import (
     SelectionError,
     ShapeError,
 )
-from l1subspace.linalg import random_stiefel
+from l1subspace.linalg import random_stiefel, spectral_norm
 from l1subspace.solvers import (
     adaptive_beta,
     check_alpha_condition,
@@ -389,6 +390,39 @@ def test_tall_problem_never_forms_a_d_by_d_matrix():
     assert rep.iterations == 5
     assert np.isfinite(residual)
     assert peak < 16 * 2**20
+
+
+def test_tall_theory_solve_never_forms_a_d_by_d_matrix():
+    # adaptive beta needs ||X P||_2; at d = 2000 the d x d matrix X P alone
+    # would be 32 MB, while the factor (Sigma V^T) P is only r x d
+    rng = np.random.default_rng(22)
+    X = random_centered(2000, 6, rng)
+    tracemalloc.start()
+    try:
+        rep = solve(X, theory_config(max_iters=2, tol=1e-14),
+                    random_stiefel(2000, 2, 0), snapshots=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == 2
+    assert peak < 8 * 2**20
+
+
+def test_theory_solve_takes_one_spectral_norm_per_sweep(monkeypatch):
+    # beta(P) of a sweep is beta(P_next) of the one before, and gamma_star
+    # reads sigma_1 from the same factorization of X: k sweeps, k + 1 norms
+    calls = []
+
+    def counting_norm(M):
+        calls.append(1)
+        return spectral_norm(M)
+
+    monkeypatch.setattr(solvers, "spectral_norm", counting_norm)
+    rng = np.random.default_rng(24)
+    X = random_centered(9, 30, rng)
+    rep = solve(X, theory_config(max_iters=6, tol=1e-300), random_stiefel(9, 2, 1))
+    assert rep.iterations == 6
+    assert len(calls) == rep.iterations + 1
 
 
 def test_solve_restart_from_converged_point_stays_put():
