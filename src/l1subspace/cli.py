@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 solver error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -55,6 +56,7 @@ from .errors import (
 from .linalg import random_stiefel
 from .metrics import choose_k_energy, clustering_accuracy, kmeans, l2_baseline_energy, reconstruct, tev
 from .solvers import (
+    RunReport,
     RunTrace,
     check_alpha_condition,
     criticality_residual,
@@ -280,15 +282,12 @@ def build_solver_config(resolved: dict) -> SolverConfig:
     star, sup = resolved.get("beta_star"), resolved.get("beta_sup")
     if fixed is not None and (star is not None or sup is not None):
         raise CliError(EXIT_CONFIG, "give either beta or beta_star/beta_sup, not both")
-    if fixed is not None:
-        beta_mode = FixedBeta(fixed)
-    elif star is not None and sup is not None:
-        beta_mode = AdaptiveBeta(star, sup)
-    elif star is None and sup is None:
+    if fixed is None and star is None and sup is None:
         raise CliError(EXIT_CONFIG, "a beta setting is required: beta, or beta_star with beta_sup")
-    else:
+    if fixed is None and (star is None or sup is None):
         raise CliError(EXIT_CONFIG, "beta_star and beta_sup must be given together")
     try:
+        beta_mode = FixedBeta(fixed) if fixed is not None else AdaptiveBeta(star, sup)
         return SolverConfig(
             alpha=resolved["alpha"],
             beta_mode=beta_mode,
@@ -364,13 +363,33 @@ def parse_trace_csv(text: str) -> RunTrace:
     return trace
 
 
-def _run_solver(X: DataMatrix, config: SolverConfig, init_Q: StiefelPoint, **kw):
+def _run_solver(X: DataMatrix, config: SolverConfig, k: int, seed) -> RunReport:
+    """Solve from the seeded random start Q0, with library errors as exit codes.
+
+    The CLI writes no Q snapshot out, so none is kept.
+    """
     try:
-        return solve(X, config, init_Q, **kw)
+        init_Q = random_stiefel(X.d, k, seed=seed)
+    except (DomainError, ShapeError) as exc:
+        raise CliError(EXIT_CONFIG, f"invalid subspace dimension: {exc}") from None
+    try:
+        return solve(X, config, init_Q, snapshots=False)
     except _SOLVER_ERRORS as exc:
         raise CliError(EXIT_SOLVER, f"solver failed: {exc}") from None
     except (FeasibilityError, ShapeError, DomainError) as exc:
         raise CliError(EXIT_CONFIG, f"solver rejected the setup: {exc}") from None
+
+
+def _write_report(out: str, command: str, resolved: dict, results: dict, timing: dict) -> None:
+    """Write report.json and config.txt for a solve, cluster or reconstruct run."""
+    payload = {
+        "command": command,
+        "config": {k: v for k, v in sorted(resolved.items()) if v is not None},
+        "results": results,
+        "timing": timing,
+    }
+    _write_json(os.path.join(out, "report.json"), payload)
+    write_resolved_config(out, resolved)
 
 
 def _sha256(path: str) -> str:
@@ -420,40 +439,12 @@ def cmd_synth(args) -> int:
 # solve
 
 
-def _solve_report_payload(resolved: dict, report, tev_value, config: SolverConfig) -> dict:
-    return {
-        "command": "solve",
-        "config": {k: v for k, v in sorted(resolved.items()) if v is not None},
-        "results": {
-            "final_objective": float(report.final_objective),
-            "iterations": int(report.iterations),
-            "stop_reason": report.stop_reason,
-            "final_gap": float(report.final_gap),
-            "criticality": _jsonable_float(report.criticality),
-            "alpha_condition_holds": bool(report.alpha_condition_holds),
-            "tev": _jsonable_float(tev_value),
-            "gamma_star": _jsonable_float(report.trace.gamma_star),
-            "beta_star": float(config.beta_star),
-            "files": {
-                "trace": "trace.csv",
-                "final_Q": "final_Q.csv",
-                "final_P": "final_P.csv",
-            },
-        },
-        "timing": {"wall_time_seconds": float(report.wall_time)},
-    }
-
-
 def cmd_solve(args) -> int:
     resolved = resolve_options("solve", args)
     out = _ensure_out_dir(args.out)
     config = build_solver_config(resolved)
     X = load_feature_matrix(resolved)
-    try:
-        init_Q = random_stiefel(X.d, resolved["k"], seed=resolved["seed"])
-    except (DomainError, ShapeError) as exc:
-        raise CliError(EXIT_CONFIG, f"invalid subspace dimension: {exc}") from None
-    report = _run_solver(X, config, init_Q, snapshots=False)
+    report = _run_solver(X, config, resolved["k"], resolved["seed"])
     tev_value = None
     if resolved["tev"]:
         try:
@@ -467,9 +458,24 @@ def cmd_solve(args) -> int:
     _atomic_write_text(
         os.path.join(out, "final_P.csv"), _csv_matrix_text(report.final_P.values)
     )
-    payload = _solve_report_payload(resolved, report, tev_value, config)
-    _write_json(os.path.join(out, "report.json"), payload)
-    write_resolved_config(out, resolved)
+    results = {
+        "final_objective": float(report.final_objective),
+        "iterations": int(report.iterations),
+        "stop_reason": report.stop_reason,
+        "final_gap": float(report.final_gap),
+        "criticality": _jsonable_float(report.criticality),
+        "alpha_condition_holds": bool(report.alpha_condition_holds),
+        "tev": _jsonable_float(tev_value),
+        "gamma_star": _jsonable_float(report.trace.gamma_star),
+        "beta_star": float(config.beta_star),
+        "files": {
+            "trace": "trace.csv",
+            "final_Q": "final_Q.csv",
+            "final_P": "final_P.csv",
+        },
+    }
+    _write_report(out, "solve", resolved, results,
+                  {"wall_time_seconds": float(report.wall_time)})
     print(
         f"stop={report.stop_reason} iters={report.iterations} "
         f"objective={report.final_objective:.6e} criticality={report.criticality:.3e}"
@@ -503,9 +509,6 @@ def cmd_bench(args) -> int:
     base_config = build_solver_config(resolved)
 
     rows = []
-    per_variant: dict[str, list[dict]] = {v: [] for v in variants}
-    failures = 0
-    total = 0
     for rep in range(resolved["reps"]):
         data_seed = resolved["seed"] + rep
         try:
@@ -515,72 +518,49 @@ def cmd_bench(args) -> int:
         except DomainError as exc:
             raise CliError(EXIT_CONFIG, f"invalid synthetic settings: {exc}") from None
         baseline = l2_baseline_energy(X, resolved["k"])
-        init_Q = random_stiefel(X.d, resolved["k"], seed=data_seed + 7919)
         for variant in variants:
-            total += 1
             gamma = 0.0 if variant == "palm" else base_config.gamma
-            config = SolverConfig(
-                alpha=base_config.alpha,
-                beta_mode=base_config.beta_mode,
-                gamma=gamma,
-                max_iters=base_config.max_iters,
-                tol=base_config.tol,
-                theory_mode=base_config.theory_mode,
-            )
+            config = dataclasses.replace(base_config, gamma=gamma)
+            record = {
+                "variant": variant,
+                "rep": rep,
+                "data_seed": data_seed,
+                "status": "error",
+                "tev": None,
+                "iterations": None,
+                "wall_time": None,
+                "stop_reason": "",
+                "error": "",
+            }
             try:
-                report = solve(X, config, init_Q)
-                quality = tev(X, report.final_Q, baseline=baseline)
-                record = {
-                    "variant": variant,
-                    "rep": rep,
-                    "data_seed": data_seed,
-                    "status": "ok",
-                    "tev": quality,
-                    "iterations": report.iterations,
-                    "wall_time": report.wall_time,
-                    "stop_reason": report.stop_reason,
-                    "error": "",
-                }
-                per_variant[variant].append(record)
-            except (*_SOLVER_ERRORS, DomainError, FeasibilityError, ShapeError) as exc:
-                failures += 1
-                record = {
-                    "variant": variant,
-                    "rep": rep,
-                    "data_seed": data_seed,
-                    "status": "error",
-                    "tev": None,
-                    "iterations": None,
-                    "wall_time": None,
-                    "stop_reason": "",
-                    "error": str(exc),
-                }
+                report = _run_solver(X, config, resolved["k"], data_seed + 7919)
+                record.update(
+                    status="ok",
+                    tev=tev(X, report.final_Q, baseline=baseline),
+                    iterations=report.iterations,
+                    wall_time=report.wall_time,
+                    stop_reason=report.stop_reason,
+                )
+            except (CliError, DomainError) as exc:
+                record["error"] = str(exc)
             rows.append(record)
 
     header = ["variant", "rep", "data_seed", "status", "tev", "iterations",
               "wall_time", "stop_reason", "error"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[col]) for col in header))
+    table = list(rows)
+    summary = []
     for variant in variants:
-        good = per_variant[variant]
+        good = [row for row in rows if row["variant"] == variant and row["status"] == "ok"]
         if not good:
+            summary.append(f"{variant}: all runs failed")
             continue
-        lines.append(
-            ",".join(
-                (
-                    variant,
-                    "mean",
-                    "",
-                    "ok",
-                    repr(float(np.mean([r["tev"] for r in good]))),
-                    repr(float(np.mean([r["iterations"] for r in good]))),
-                    repr(float(np.mean([r["wall_time"] for r in good]))),
-                    "",
-                    "",
-                )
-            )
-        )
+        mean = {col: float(np.mean([row[col] for row in good]))
+                for col in ("tev", "iterations", "wall_time")}
+        table.append({**mean, "variant": variant, "rep": "mean", "data_seed": None,
+                      "status": "ok", "stop_reason": "", "error": ""})
+        summary.append(f"{variant}: mean tev {mean['tev']:.6f} over {len(good)} runs")
+    lines = [",".join(header)]
+    lines += [",".join(_csv_cell(row[col]) for col in header) for row in table]
     _atomic_write_text(os.path.join(out, "bench.csv"), "\n".join(lines) + "\n")
 
     if "palme" in variants and "palm" in variants:
@@ -589,32 +569,15 @@ def cmd_bench(args) -> int:
         }
         paired = ["rep,data_seed,tev_palme,tev_palm,tev_delta"]
         for rep in range(resolved["reps"]):
-            a = by_rep.get(("palme", rep))
-            b = by_rep.get(("palm", rep))
-            if a is None or b is None:
-                continue
-            paired.append(
-                ",".join(
-                    (
-                        str(rep),
-                        str(a["data_seed"]),
-                        repr(float(a["tev"])),
-                        repr(float(b["tev"])),
-                        repr(float(a["tev"] - b["tev"])),
-                    )
-                )
-            )
+            a, b = by_rep.get(("palme", rep)), by_rep.get(("palm", rep))
+            if a is not None and b is not None:
+                cells = (rep, a["data_seed"], a["tev"], b["tev"], a["tev"] - b["tev"])
+                paired.append(",".join(_csv_cell(cell) for cell in cells))
         _atomic_write_text(os.path.join(out, "paired.csv"), "\n".join(paired) + "\n")
 
     write_resolved_config(out, resolved)
-    for variant in variants:
-        good = per_variant[variant]
-        if good:
-            mean_tev = float(np.mean([r["tev"] for r in good]))
-            print(f"{variant}: mean tev {mean_tev:.6f} over {len(good)} runs")
-        else:
-            print(f"{variant}: all runs failed")
-    if failures == total:
+    print("\n".join(summary))
+    if all(row["status"] == "error" for row in rows):
         raise CliError(EXIT_SOLVER, "all benchmark runs failed")
     return EXIT_OK
 
@@ -628,6 +591,8 @@ def cmd_cluster(args) -> int:
     out = _ensure_out_dir(args.out)
     if resolved["k"] is not None and resolved["k"] < 2:
         raise CliError(EXIT_CONFIG, "k must be at least 2")
+    if resolved["reps"] < 1:
+        raise CliError(EXIT_CONFIG, "reps must be at least 1")
     config = build_solver_config(resolved)
     try:
         dataset = parse_libsvm(resolved["libsvm"])
@@ -651,36 +616,27 @@ def cmd_cluster(args) -> int:
     wall_times = []
     for rep in range(resolved["reps"]):
         rep_seed = resolved["seed"] + rep
-        try:
-            init_Q = random_stiefel(X.d, K, seed=rep_seed)
-        except (DomainError, ShapeError) as exc:
-            raise CliError(EXIT_CONFIG, f"invalid subspace dimension: {exc}") from None
         started = time.perf_counter()
-        report = _run_solver(X, config, init_Q, snapshots=False)
+        report = _run_solver(X, config, K, rep_seed)
         projected = report.final_Q.values.T @ X.values
         predicted = kmeans(projected, n_clusters, seed=rep_seed, restarts=10)
         wall_times.append(time.perf_counter() - started)
         accuracies.append(clustering_accuracy(predicted, dataset.labels))
         iterations.append(report.iterations)
-    payload = {
-        "command": "cluster",
-        "config": {k: v for k, v in sorted(resolved.items()) if v is not None},
-        "results": {
-            "subspace_dim": int(K),
-            "subspace_dim_rule": k_rule,
-            "clusters": int(n_clusters),
-            "samples": int(X.n),
-            "accuracies": [float(a) for a in accuracies],
-            "mean_accuracy": float(np.mean(accuracies)),
-            "iterations": [int(i) for i in iterations],
-        },
-        "timing": {
-            "wall_time_seconds": float(sum(wall_times)),
-            "per_rep_seconds": [float(w) for w in wall_times],
-        },
+    results = {
+        "subspace_dim": int(K),
+        "subspace_dim_rule": k_rule,
+        "clusters": int(n_clusters),
+        "samples": int(X.n),
+        "accuracies": [float(a) for a in accuracies],
+        "mean_accuracy": float(np.mean(accuracies)),
+        "iterations": [int(i) for i in iterations],
     }
-    _write_json(os.path.join(out, "report.json"), payload)
-    write_resolved_config(out, resolved)
+    timing = {
+        "wall_time_seconds": float(sum(wall_times)),
+        "per_rep_seconds": [float(w) for w in wall_times],
+    }
+    _write_report(out, "cluster", resolved, results, timing)
     print(
         f"K={K} ({k_rule}) clusters={n_clusters} "
         f"mean accuracy {float(np.mean(accuracies)):.4f} over {resolved['reps']} reps"
@@ -756,11 +712,7 @@ def cmd_reconstruct(args) -> int:
         )
     means = columns.mean(axis=1, keepdims=True)
     X = DataMatrix(columns - means, centered=True)
-    try:
-        init_Q = random_stiefel(X.d, resolved["k"], seed=resolved["seed"])
-    except (DomainError, ShapeError) as exc:
-        raise CliError(EXIT_CONFIG, f"invalid subspace dimension: {exc}") from None
-    report = _run_solver(X, config, init_Q, snapshots=False)
+    report = _run_solver(X, config, resolved["k"], resolved["seed"])
     rebuilt = reconstruct(X, report.final_Q).values + means
     rebuilt = np.clip(rebuilt, 0.0, 255.0)
     height, width = corrupted[0].pixels.shape
@@ -773,22 +725,17 @@ def cmd_reconstruct(args) -> int:
             float(np.sqrt(np.mean((image.pixels - clean.pixels) ** 2)))
             for image in images
         ]
-    payload = {
-        "command": "reconstruct",
-        "config": {k: v for k, v in sorted(resolved.items()) if v is not None},
-        "results": {
-            "image_shape": [int(height), int(width)],
-            "iterations": int(report.iterations),
-            "stop_reason": report.stop_reason,
-            "final_objective": float(report.final_objective),
-            "rmse": rmse,
-            "mean_rmse": float(np.mean(rmse)) if rmse is not None else None,
-            "files": [f"recon_{i}.pgm" for i in range(1, 10)],
-        },
-        "timing": {"wall_time_seconds": float(report.wall_time)},
+    results = {
+        "image_shape": [int(height), int(width)],
+        "iterations": int(report.iterations),
+        "stop_reason": report.stop_reason,
+        "final_objective": float(report.final_objective),
+        "rmse": rmse,
+        "mean_rmse": float(np.mean(rmse)) if rmse is not None else None,
+        "files": [f"recon_{i}.pgm" for i in range(1, 10)],
     }
-    _write_json(os.path.join(out, "report.json"), payload)
-    write_resolved_config(out, resolved)
+    _write_report(out, "reconstruct", resolved, results,
+                  {"wall_time_seconds": float(report.wall_time)})
     if rmse is not None:
         print(f"mean rmse {float(np.mean(rmse)):.4f} over 9 images")
     else:
@@ -846,10 +793,11 @@ def cmd_check(args) -> int:
         raise CliError(EXIT_DATA, f"corrupt run artifacts: {exc}") from None
 
     try:
-        alpha = float(stored_config["alpha"])
-        holds = check_alpha_condition(X, final_Q, alpha)
-    except (KeyError, ValueError, TypeError) as exc:
+        config = build_solver_config(stored_config)
+    except (CliError, KeyError) as exc:
         raise CliError(EXIT_DATA, f"corrupt report config: {exc}") from None
+    alpha = config.alpha
+    holds = check_alpha_condition(X, final_Q, alpha)
     print(f"alpha condition: {'holds' if holds else 'does not hold'} (informational)")
 
     checks: list[tuple[str, bool, str]] = []
@@ -898,27 +846,13 @@ def cmd_check(args) -> int:
             )
         )
 
-    theory = bool(stored_config.get("theory", False))
-    if theory:
+    if config.theory_mode:
         try:
             with open(os.path.join(run_dir, "trace.csv"), "r", encoding="utf-8") as fh:
                 trace = parse_trace_csv(fh.read())
         except OSError as exc:
             raise CliError(EXIT_DATA, f"cannot read trace: {exc}") from None
         trace.gamma_star = results.get("gamma_star")
-        try:
-            config = SolverConfig(
-                alpha=alpha,
-                beta_mode=AdaptiveBeta(
-                    float(stored_config["beta_star"]), float(stored_config["beta_sup"])
-                ),
-                gamma=float(stored_config.get("gamma", 1.0)),
-                max_iters=int(stored_config.get("max_iters", 1000)),
-                tol=float(stored_config.get("tol", 1e-6)),
-                theory_mode=True,
-            )
-        except (KeyError, ValueError, TypeError, DomainError) as exc:
-            raise CliError(EXIT_DATA, f"corrupt report config: {exc}") from None
         audit = sufficient_decrease_check(trace, config, X=X)
         checks.append(
             (

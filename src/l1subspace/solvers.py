@@ -34,7 +34,6 @@ import numpy as np
 from .core import (
     AdaptiveBeta,
     DataMatrix,
-    IterateTriple,
     SignMatrix,
     SolverConfig,
     StiefelPoint,
@@ -65,9 +64,10 @@ class RunTrace:
 
     Entry k describes iterate k; entry 0 is the starting point, so the step
     fields hold nan there.  ``gap[k]`` is the full triple step
-    ||C^k - C^{k-1}||_F including the trailing Q block.  Q snapshots are kept
-    for every iteration up to ``SNAPSHOT_DENSE_LIMIT`` and every tenth one
-    beyond that.
+    ||C^k - C^{k-1}||_F including the trailing Q block.  Q snapshots, read-only
+    d x K arrays, exist only when ``solve`` runs with ``snapshots=True``: then
+    they are kept for every iteration up to ``SNAPSHOT_DENSE_LIMIT`` and every
+    tenth one beyond that.
     """
 
     phi: list[float] = field(default_factory=list)
@@ -78,7 +78,6 @@ class RunTrace:
     snapshot_iters: list[int] = field(default_factory=list)
     q_snapshots: list[np.ndarray] = field(default_factory=list)
     gamma_star: float | None = None
-    final_criticality: float | None = None
 
     def __len__(self):
         return len(self.phi)
@@ -114,7 +113,6 @@ class RunReport:
     iterations: int
     wall_time: float
     final_gap: float
-    tev: float | None = None
 
 
 def extrapolate(Q: StiefelPoint, Q_prev: StiefelPoint, gamma: float) -> np.ndarray:
@@ -144,7 +142,7 @@ def _xt_extrapolated(
     return np.hstack([XtQ, XtQ_prev]) @ np.vstack([(1.0 + gamma) * Q.T, -gamma * Q_prev.T])
 
 
-def _sign_step(P: np.ndarray, XtE: np.ndarray, alpha: float) -> SignMatrix:
+def _sign_step(P: np.ndarray, XtE: np.ndarray, alpha: float) -> np.ndarray:
     """Sign step from the n x d product X^T E, however E was represented.
 
     XtE is overwritten; callers pass a freshly computed product.
@@ -156,7 +154,7 @@ def _sign_step(P: np.ndarray, XtE: np.ndarray, alpha: float) -> SignMatrix:
     M = XtE
     M /= alpha
     M += P
-    return SignMatrix(sign_select(M, P))
+    return sign_select(M, P)
 
 
 def _s_times(X: np.ndarray, P: np.ndarray, Q: np.ndarray, XtQ: np.ndarray) -> np.ndarray:
@@ -164,11 +162,11 @@ def _s_times(X: np.ndarray, P: np.ndarray, Q: np.ndarray, XtQ: np.ndarray) -> np
     return X @ (P @ Q) + P.T @ XtQ
 
 
-def _q_step(Q: StiefelPoint, SQ: np.ndarray, beta: float) -> StiefelPoint:
+def _q_step(Q: np.ndarray, SQ: np.ndarray, beta: float) -> np.ndarray:
     """Procrustes step from the d x K product S Q; Q itself when S Q = 0."""
     if not SQ.any():
         return Q
-    return StiefelPoint(polar_factor(Q.values + SQ / beta))
+    return polar_factor(Q + SQ / beta)
 
 
 def update_P(P: SignMatrix, X: DataMatrix, E: np.ndarray, alpha: float) -> SignMatrix:
@@ -184,7 +182,7 @@ def update_P(P: SignMatrix, X: DataMatrix, E: np.ndarray, alpha: float) -> SignM
         raise ShapeError(f"E must be {X.d} x {X.d}, got {E.shape}")
     if P.values.shape != (X.n, X.d):
         raise ShapeError(f"P must be {X.n} x {X.d}, got {P.values.shape}")
-    return _sign_step(P.values, X.values.T @ E, alpha)
+    return SignMatrix(_sign_step(P.values, X.values.T @ E, alpha))
 
 
 def update_Q(Q: StiefelPoint, P_next: SignMatrix, X: DataMatrix, beta: float) -> StiefelPoint:
@@ -200,7 +198,8 @@ def update_Q(Q: StiefelPoint, P_next: SignMatrix, X: DataMatrix, beta: float) ->
     if Q.d != X.d:
         raise ShapeError(f"Q has {Q.d} rows but X has {X.d} rows")
     SQ = _s_times(X.values, P_next.values, Q.values, X.values.T @ Q.values)
-    return _q_step(Q, SQ, beta)
+    Q_next = _q_step(Q.values, SQ, beta)
+    return Q if Q_next is Q.values else StiefelPoint(Q_next)
 
 
 def _data_factor(X: np.ndarray) -> tuple[float, np.ndarray]:
@@ -308,8 +307,9 @@ def _record(trace, snapshots, k, phi, h, dP, dQ, gap, Q):
     trace.dQ.append(dQ)
     trace.gap.append(gap)
     if snapshots and (k <= SNAPSHOT_DENSE_LIMIT or k % 10 == 0):
+        Q.setflags(write=False)
         trace.snapshot_iters.append(k)
-        trace.q_snapshots.append(Q.values)
+        trace.q_snapshots.append(Q)
 
 
 def solve(
@@ -325,7 +325,13 @@ def solve(
 
     X must be centered.  When init_P is omitted it starts from
     sign(X^T Q0 Q0^T) with ties broken to +1.  Identical inputs produce
-    identical reports; the only nondeterministic field is wall time.
+    identical reports on one BLAS/LAPACK build run with a fixed thread count;
+    other thread counts can change the last digits.  The only
+    nondeterministic field is wall time.
+
+    The iterates are plain arrays inside the loop: the sign step yields +/-1
+    entries and the Q step orthonormal columns by construction, so they are
+    validated once, as final_P and final_Q.
     """
     if not X.centered:
         raise FeasibilityError("solve requires a centered data matrix")
@@ -337,18 +343,19 @@ def solve(
         )
     t0 = time.perf_counter()
 
-    Q = init_Q
+    Xv = X.values
+    Q = Q_prev = init_Q.values
     # X^T Q of the current and the previous Q, carried between sweeps
-    XtQ = X.values.T @ Q.values
+    XtQ = Xv.T @ Q
     XtQ_prev = XtQ
     if init_P is None:
-        P = SignMatrix(sign_select(XtQ @ Q.values.T, np.ones((X.n, X.d))))
+        P = sign_select(XtQ @ Q.T, np.ones((X.n, X.d)))
     else:
         if init_P.values.shape != (X.n, X.d):
             raise ShapeError(
                 f"init_P must be {X.n} x {X.d}, got {init_P.values.shape}"
             )
-        P = init_P
+        P = init_P.values
 
     gamma = float(config.gamma)
     trace = RunTrace()
@@ -356,17 +363,16 @@ def solve(
     adaptive = isinstance(bm, AdaptiveBeta)
     if adaptive:
         # beta(P) of each sweep is beta(P_next) of the sweep before
-        sigma1, SVt = _data_factor(X.values)
-        beta_P = _beta(SVt, P.values, bm.beta_star, bm.beta_sup)
+        sigma1, SVt = _data_factor(Xv)
+        beta_P = _beta(SVt, P, bm.beta_star, bm.beta_sup)
     if config.theory_mode:
         gs = _gamma_cap(config.alpha, bm.beta_star, sigma1)
         gamma = max(0.0, min(gamma, gs - GAMMA_MARGIN))
         assert gamma < gs
         trace.gamma_star = gs
 
-    C = IterateTriple(P, Q, Q)
     iterations = 0
-    h0 = h_from_factors(P.values, Q.values, XtQ)
+    h0 = h_from_factors(P, Q, XtQ)
     _record(trace, snapshots, 0, h0, h0, math.nan, math.nan, math.nan, Q)
 
     beta_star_phi = config.beta_star
@@ -374,28 +380,27 @@ def solve(
     stop_reason = "max_iters"
     final_gap = math.nan
     for k in range(1, config.max_iters + 1):
-        Qv = C.Q.values
-        XtE = _xt_extrapolated(XtQ, XtQ_prev, Qv, C.Q_prev.values, gamma)
-        P_next = _sign_step(C.P.values, XtE, config.alpha)
+        XtE = _xt_extrapolated(XtQ, XtQ_prev, Q, Q_prev, gamma)
+        P_next = _sign_step(P, XtE, config.alpha)
         if adaptive:
-            beta_next = _beta(SVt, P_next.values, bm.beta_star, bm.beta_sup)
+            beta_next = _beta(SVt, P_next, bm.beta_star, bm.beta_sup)
             beta_k = max(beta_P, beta_next)
             beta_P = beta_next
         else:
             beta_k = bm.value
-        Q_next = _q_step(C.Q, _s_times(X.values, P_next.values, Qv, XtQ), beta_k)
-        XtQ_prev, XtQ = XtQ, X.values.T @ Q_next.values
+        Q_next = _q_step(Q, _s_times(Xv, P_next, Q, XtQ), beta_k)
+        XtQ_prev, XtQ = XtQ, Xv.T @ Q_next
 
         # entries are +/-1, so each flipped sign adds 4 to ||P_next - P||^2
-        dP = 2.0 * math.sqrt(np.count_nonzero(P_next.values != C.P.values))
-        dQ = float(np.linalg.norm(Q_next.values - C.Q.values))
+        dP = 2.0 * math.sqrt(np.count_nonzero(P_next != P))
+        dQ = float(np.linalg.norm(Q_next - Q))
         gap = math.sqrt(dP * dP + dQ * dQ + dQ_prev * dQ_prev)
-        C = IterateTriple(P_next, Q_next, C.Q)
+        P, Q, Q_prev = P_next, Q_next, Q
         iterations = k
 
-        hk = h_from_factors(P_next.values, Q_next.values, XtQ)
+        hk = h_from_factors(P, Q, XtQ)
         phik = hk + 0.5 * beta_star_phi * dQ * dQ
-        _record(trace, snapshots, k, phik, hk, dP, dQ, gap, Q_next)
+        _record(trace, snapshots, k, phik, hk, dP, dQ, gap, Q)
 
         if gap < config.tol:
             stop_reason = "tolerance"
@@ -404,12 +409,14 @@ def solve(
         dQ_prev = dQ
         final_gap = gap
 
-    P, Q = C.P, C.Q
+    # release the last sweep's n x d arrays before the validating copy of P
+    # and the closing checks, which allocate n x d arrays of their own
+    del XtE, P_next
+    P, Q = SignMatrix(P), StiefelPoint(Q)
     try:
         crit = criticality_residual(Q, P, X)
     except SelectionError:
         crit = math.nan
-    trace.final_criticality = crit
     return RunReport(
         final_P=P,
         final_Q=Q,

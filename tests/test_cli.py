@@ -107,6 +107,14 @@ class TestConfigHandling:
         assert run_cli("solve", "--out", tmp_path / "o", "--data", small_csv,
                        "--k", 2) == 2
 
+    @pytest.mark.parametrize("beta", [["--beta", -1],
+                                      ["--beta-star", -1, "--beta-sup", 5],
+                                      ["--beta-star", 5, "--beta-sup", 1]])
+    def test_out_of_range_beta_is_config_error(self, tmp_path, small_csv, beta, capsys):
+        assert run_cli("solve", "--out", tmp_path / "o", "--data", small_csv,
+                       "--k", 2, *beta) == 2
+        assert "invalid solver settings" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # synth
@@ -243,6 +251,17 @@ class TestSolve:
         assert "solver failed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_sign_step_is_solver_error(self, tmp_path, capsys):
+        # X^T E / alpha overflows at this scale; the sign step's finiteness
+        # check still runs on every sweep, so this is exit 4, not a result
+        data = tmp_path / "huge.csv"
+        write_csv_matrix(np.random.default_rng(26).standard_normal((6, 12)) * 1e303, data)
+        assert run_cli(*solve_args(tmp_path / "o", data)) == 4
+        err = capsys.readouterr().err
+        assert "solver failed" in err
+        assert "non-finite" in err
+
     def test_peak_memory_does_not_grow_with_max_iters(self, tmp_path):
         # solve writes no Q snapshot, so it must not keep one per sweep
         # (48 kB each at d = 3000, K = 2: 9 MB over 190 extra sweeps)
@@ -301,6 +320,25 @@ class TestBench:
         assert code == 0
         assert not (out / "paired.csv").exists()
 
+    def test_peak_memory_does_not_grow_with_max_iters(self, tmp_path):
+        # bench writes no Q snapshot, so it must not keep one per sweep
+        # (48 kB each at d = 3000, K = 2: 9 MB over 190 extra sweeps)
+        peaks = []
+        for sweeps in (10, 200):
+            out = tmp_path / f"bench{sweeps}"
+            tracemalloc.start()
+            try:
+                code = run_cli("bench", "--out", out, "--d", 3000, "--n", 6, "--k", 2,
+                               "--sigma", 0.5, "--reps", 1, "--variants", "palme",
+                               "--beta", 20, "--tol", 1e-300, "--max-iters", sweeps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            rows = (out / "bench.csv").read_text().splitlines()
+            assert rows[1].split(",")[5] == str(sweeps)
+        assert peaks[1] < peaks[0] + 2 * 2**20
+
     def test_unknown_variant_is_config_error(self, tmp_path):
         assert run_cli("bench", "--out", tmp_path / "b", "--d", 10, "--n", 30,
                        "--k", 2, "--sigma", 0.5, "--beta", 20,
@@ -334,6 +372,15 @@ class TestCluster:
     def test_k_below_two_rejected(self, tmp_path, blobs_libsvm):
         assert run_cli("cluster", "--out", tmp_path / "c", "--libsvm",
                        blobs_libsvm, "--beta", 20, "--k", 1) == 2
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_reps_below_one_is_config_error(self, tmp_path, blobs_libsvm, reps):
+        # no repetition means no accuracy to average: mean_accuracy was NaN,
+        # which is not valid JSON
+        out = tmp_path / "c"
+        assert run_cli("cluster", "--out", out, "--libsvm", blobs_libsvm,
+                       "--beta", 20, "--reps", reps) == 2
+        assert not (out / "report.json").exists()
 
     def test_single_class_is_data_error(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -494,6 +541,17 @@ class TestCheck:
         trace = (out / "trace.csv").read_text()
         (out / "trace.csv").write_text(trace[: len(trace) // 2].rsplit(",", 1)[0])
         assert run_cli("check", "--run", out) == 3
+
+    def test_theory_run_without_beta_sup_is_corrupt(self, tmp_path, small_csv, capsys):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--out", out, "--data", small_csv, "--k", 2,
+                       "--beta-star", 1.0, "--beta-sup", 1e9, "--theory",
+                       "--max-iters", 50, "--seed", 2) == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["config"]["beta_sup"]
+        (out / "report.json").write_text(json.dumps(report))
+        assert run_cli("check", "--run", out) == 3
+        assert "corrupt report config" in capsys.readouterr().err
 
     def test_data_override(self, finished_run, small_csv, tmp_path):
         moved = tmp_path / "moved.csv"

@@ -19,6 +19,7 @@ from l1subspace.errors import (
     DomainError,
     FeasibilityError,
     InfeasibleBoundError,
+    NumericError,
     SelectionError,
     ShapeError,
 )
@@ -423,6 +424,50 @@ def test_theory_solve_takes_one_spectral_norm_per_sweep(monkeypatch):
     rep = solve(X, theory_config(max_iters=6, tol=1e-300), random_stiefel(9, 2, 1))
     assert rep.iterations == 6
     assert len(calls) == rep.iterations + 1
+
+
+def test_solve_validates_the_iterate_only_where_it_leaves(monkeypatch):
+    # the sign step yields +/-1 and the Q step orthonormal columns by
+    # construction, so a run of k sweeps builds one SignMatrix (final_P) and
+    # one StiefelPoint (final_Q) rather than one per sweep
+    built = {"P": 0, "Q": 0}
+
+    class CountingSign(SignMatrix):
+        def __post_init__(self):
+            built["P"] += 1
+            super().__post_init__()
+
+    class CountingStiefel(StiefelPoint):
+        def __post_init__(self):
+            built["Q"] += 1
+            super().__post_init__()
+
+    monkeypatch.setattr(solvers, "SignMatrix", CountingSign)
+    monkeypatch.setattr(solvers, "StiefelPoint", CountingStiefel)
+    X = random_centered(9, 30, np.random.default_rng(25))
+    Q0 = random_stiefel(9, 2, 1)
+    rep = solve(X, practical_config(max_iters=20, tol=1e-300), Q0)
+    assert rep.iterations == 20
+    assert built == {"P": 1, "Q": 1}
+    assert type(rep.final_P) is CountingSign
+    assert type(rep.final_Q) is CountingStiefel
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_solve_sign_step_rejects_overflow():
+    # X^T E / alpha overflows to inf at this scale; the sign step's
+    # finiteness check must still stop the run with NumericError
+    X = random_centered(6, 12, np.random.default_rng(26))
+    X = DataMatrix(X.values * 1e303, centered=True)
+    with pytest.raises(NumericError, match="sign_select"):
+        solve(X, practical_config(alpha=1e-6), random_stiefel(6, 2, 0))
+
+
+def test_solve_q_snapshots_are_read_only():
+    X = random_centered(8, 20, np.random.default_rng(27))
+    rep = solve(X, practical_config(max_iters=5, tol=1e-300), random_stiefel(8, 2, 1))
+    assert rep.trace.snapshot_iters == list(range(6))
+    assert not any(snap.flags.writeable for snap in rep.trace.q_snapshots)
 
 
 def test_solve_restart_from_converged_point_stays_put():
