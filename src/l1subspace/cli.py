@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint
+from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, objective_l
 from .data import (
     GrayImage,
     center_features,
@@ -167,7 +167,7 @@ def read_config_file(path) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_CONFIG, f"cannot read config file: {exc}") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -619,7 +619,7 @@ def cmd_cluster(args) -> int:
         started = time.perf_counter()
         report = _run_solver(X, config, K, rep_seed)
         projected = report.final_Q.values.T @ X.values
-        predicted = kmeans(projected, n_clusters, seed=rep_seed, restarts=10)
+        predicted = kmeans(projected, n_clusters, seed=rep_seed)
         wall_times.append(time.perf_counter() - started)
         accuracies.append(clustering_accuracy(predicted, dataset.labels))
         iterations.append(report.iterations)
@@ -760,14 +760,33 @@ def _load_report(run_dir: str) -> dict:
             payload = json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_DATA, f"cannot read report: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_DATA, f"corrupt report JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CliError(EXIT_DATA, "corrupt report: not a JSON object")
     for key in ("command", "config", "results"):
         if key not in payload:
             raise CliError(EXIT_DATA, f"corrupt report: missing {key!r}")
+        if key != "command" and not isinstance(payload[key], dict):
+            raise CliError(EXIT_DATA, f"corrupt report: {key!r} is not a JSON object")
     if payload["command"] != "solve":
         raise CliError(EXIT_DATA, "check needs a solve run directory")
     return payload
+
+
+def _stored_number(results: dict, key: str) -> float | None:
+    """``results[key]`` as a float, None when absent or null."""
+    value = results.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(EXIT_DATA, f"corrupt report: {key!r} is not a number")
+    return float(value)
+
+
+def _agrees(stored: float, recomputed: float) -> bool:
+    """The stored figure matches its recomputation to 1e-8 relative."""
+    return abs(recomputed - stored) <= 1e-8 * (1.0 + abs(stored))
 
 
 def cmd_check(args) -> int:
@@ -791,6 +810,8 @@ def cmd_check(args) -> int:
         final_P = SignMatrix(read_csv_matrix(os.path.join(run_dir, "final_P.csv")))
     except (OSError, ParseError, FeasibilityError, ShapeError, NumericError) as exc:
         raise CliError(EXIT_DATA, f"corrupt run artifacts: {exc}") from None
+    if final_Q.d != X.d or final_P.values.shape != (X.n, X.d):
+        raise CliError(EXIT_DATA, f"run artifacts do not fit the {X.d} x {X.n} dataset")
 
     try:
         config = build_solver_config(stored_config)
@@ -830,21 +851,22 @@ def cmd_check(args) -> int:
             )
         )
 
-    stored = results.get("criticality")
+    stored = _stored_number(results, "criticality")
     if stored is None or math.isnan(residual):
         consistent, detail = stored is None and math.isnan(residual), "stored value missing"
         if not math.isnan(residual):
             detail = f"recomputed {residual:.3e} but report stores null"
-        checks.append(("report consistency", consistent, detail))
     else:
-        drift = abs(residual - float(stored))
-        checks.append(
-            (
-                "report consistency",
-                drift <= 1e-8 * (1.0 + abs(float(stored))),
-                f"stored {float(stored):.3e}, recomputed {residual:.3e}",
-            )
-        )
+        consistent = _agrees(stored, residual)
+        detail = f"stored {stored:.3e}, recomputed {residual:.3e}"
+    stored_objective = _stored_number(results, "final_objective")
+    if stored_objective is None:
+        raise CliError(EXIT_DATA, "corrupt report: missing 'final_objective'")
+    objective = objective_l(final_Q, X)
+    if not _agrees(stored_objective, objective):
+        consistent = False
+        detail += f"; final_objective stored {stored_objective:.9e}, recomputed {objective:.9e}"
+    checks.append(("report consistency", consistent, detail))
 
     if config.theory_mode:
         try:
@@ -852,7 +874,9 @@ def cmd_check(args) -> int:
                 trace = parse_trace_csv(fh.read())
         except OSError as exc:
             raise CliError(EXIT_DATA, f"cannot read trace: {exc}") from None
-        trace.gamma_star = results.get("gamma_star")
+        except UnicodeDecodeError as exc:
+            raise CliError(EXIT_DATA, f"corrupt trace: {exc}") from None
+        trace.gamma_star = _stored_number(results, "gamma_star")
         audit = sufficient_decrease_check(trace, config, X=X)
         checks.append(
             (

@@ -10,12 +10,13 @@ generators, so each artifact is a pure function of its parameters.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, StiefelPoint
+from .core import DataMatrix, StiefelPoint, _positive_finite
 from .errors import DomainError, NumericError, ParseError, ShapeError
 from .linalg import polar_factor
 
@@ -67,9 +68,7 @@ class GrayImage:
         if not np.all(np.isfinite(px)):
             raise NumericError("pixels contain non-finite values")
         if px.min() < 0.0 or px.max() > 255.0:
-            raise DomainError(
-                f"pixel range [{px.min():.3f}, {px.max():.3f}] exceeds [0, 255]"
-            )
+            raise DomainError(f"pixel range [{px.min():.3f}, {px.max():.3f}] exceeds [0, 255]")
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
@@ -98,8 +97,7 @@ def laplace_sample(b: float, u):
     Uses the inverse CDF -b sign(u - 1/2) ln(1 - 2|u - 1/2|); variance is
     2 b^2.  Scalar u gives a float, an array gives an array.
     """
-    if not (isinstance(b, (int, float)) and math.isfinite(b) and b > 0):
-        raise DomainError(f"scale b must be positive and finite, got {b!r}")
+    _positive_finite("scale b", b)
     try:
         arr = np.asarray(u, dtype=float)
     except (TypeError, ValueError):
@@ -146,14 +144,35 @@ def center_features(X: DataMatrix) -> DataMatrix:
 
 
 # ---------------------------------------------------------------------------
-# LIBSVM text format
+# file boundary: every reader and writer below goes through these two
 
 
-def _read_text(source) -> str:
+def _read(source, binary: bool = False):
+    """Contents of a file-like object or a path: bytes if ``binary``, else ASCII text."""
     if hasattr(source, "read"):
-        return source.read()
-    with open(source, "r", encoding="ascii") as fh:
-        return fh.read()
+        data = source.read()
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+    if binary or isinstance(data, str):
+        return data
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start}: {data[exc.start]:#04x} is not ASCII text") from None
+
+
+def _write(payload, dest) -> None:
+    """Write str (as ASCII) or bytes to a file-like object or a path."""
+    if hasattr(dest, "write"):
+        dest.write(payload)
+        return
+    with open(dest, "wb") as fh:
+        fh.write(payload.encode("ascii") if isinstance(payload, str) else payload)
+
+
+# ---------------------------------------------------------------------------
+# LIBSVM text format
 
 
 def parse_libsvm(source, n_features: int | None = None) -> LabeledDataset:
@@ -164,7 +183,7 @@ def parse_libsvm(source, n_features: int | None = None) -> LabeledDataset:
     used.  Labels must be integers; real-valued labels are rounded with a
     warning.  Any malformed content raises ParseError naming the line.
     """
-    text = _read_text(source)
+    text = _read(source)
     labels: list[int] = []
     rows: list[tuple[int, list[tuple[int, float]]]] = []
     max_index = 0
@@ -176,6 +195,8 @@ def parse_libsvm(source, n_features: int | None = None) -> LabeledDataset:
             raw_label = float(tokens[0])
         except ValueError:
             raise ParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
+        if not abs(raw_label) < 2.0**63:  # nan, inf, or beyond an int64 label
+            raise ParseError(f"line {lineno}: label {tokens[0]!r} out of range")
         label = int(round(raw_label))
         if raw_label != label:
             warnings.warn(
@@ -215,9 +236,7 @@ def parse_libsvm(source, n_features: int | None = None) -> LabeledDataset:
     for j, (lineno, entries) in enumerate(rows):
         for idx, val in entries:
             if idx > d:
-                raise ParseError(
-                    f"line {lineno}: index {idx} exceeds dimension {d}"
-                )
+                raise ParseError(f"line {lineno}: index {idx} exceeds dimension {d}")
             dense[idx - 1, j] = val
     return LabeledDataset(DataMatrix(dense), np.asarray(labels, dtype=int))
 
@@ -237,71 +256,42 @@ def write_libsvm(dataset: LabeledDataset, dest) -> None:
         for i in np.flatnonzero(col):
             parts.append(f"{i + 1}:{float(col[i])!r}")
         lines.append(" ".join(parts))
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", dest)
 
 
 # ---------------------------------------------------------------------------
 # PGM images (P2 ASCII and P5 binary, maxval up to 255)
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# whitespace and '#' comments before a token; a comment runs to the end of its
+# line (the lookahead stops a backtracking match from reading a comment's tail
+# as a token), and a '#' inside a token is part of it
+_PGM_TOKEN = re.compile(
+    rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*(?![^\r\n]))*([^ \t\n\r\x0b\x0c#][^ \t\n\r\x0b\x0c]*)"
+)
 
 
-class _ByteScanner:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def _skip_filler(self):
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            b = data[self.pos]
-            if b == 0x23:  # '#' comment runs to end of line
-                while self.pos < n and data[self.pos] not in b"\r\n":
-                    self.pos += 1
-            elif b in _WHITESPACE:
-                self.pos += 1
-            else:
-                break
-
-    def token(self) -> bytes:
-        self._skip_filler()
-        start = self.pos
-        data, n = self.data, len(self.data)
-        while self.pos < n and data[self.pos] not in _WHITESPACE:
-            self.pos += 1
-        if start == self.pos:
-            raise ParseError("truncated header")
-        return data[start : self.pos]
-
-    def int_token(self, what: str) -> int:
-        tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(f"bad {what}: {tok!r}") from None
+def _pgm_token(data: bytes, pos: int) -> tuple[bytes, int]:
+    """The first token at or after ``pos`` and the offset just past it."""
+    m = _PGM_TOKEN.match(data, pos)
+    if m is None:
+        raise ParseError("truncated header")
+    return m[1], m.end()
 
 
 def read_pgm(source) -> GrayImage:
     """Read a PGM image (magic P2 or P5, maxval at most 255)."""
-    if isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    elif hasattr(source, "read"):
-        data = source.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-    scan = _ByteScanner(data)
-    magic = scan.token()
+    data = bytes(source) if isinstance(source, (bytes, bytearray)) else _read(source, binary=True)
+    magic, pos = _pgm_token(data, 0)
     if magic not in (b"P2", b"P5"):
         raise ParseError(f"unsupported magic {magic!r}, need P2 or P5")
-    width = scan.int_token("width")
-    height = scan.int_token("height")
-    maxval = scan.int_token("maxval")
+    header = []
+    for what in ("width", "height", "maxval"):
+        tok, pos = _pgm_token(data, pos)
+        try:
+            header.append(int(tok))
+        except ValueError:
+            raise ParseError(f"bad {what}: {tok!r}") from None
+    width, height, maxval = header
     if width < 1 or height < 1:
         raise ParseError(f"bad dimensions {width} x {height}")
     if not (0 < maxval <= 255):
@@ -309,42 +299,37 @@ def read_pgm(source) -> GrayImage:
     count = width * height
     if magic == b"P2":
         values = []
-        for _ in range(count):
-            try:
-                values.append(scan.int_token("pixel"))
-            except ParseError:
-                raise ParseError(
-                    f"truncated pixel data: expected {count} values, got {len(values)}"
-                ) from None
-        pixels = np.asarray(values, dtype=float)
-    else:
-        start = scan.pos + 1  # exactly one whitespace byte after maxval
-        payload = data[start : start + count]
-        if len(payload) < count:
+        try:
+            for _ in range(count):
+                tok, pos = _pgm_token(data, pos)
+                values.append(int(tok))
+        except (ParseError, ValueError):
             raise ParseError(
-                f"truncated pixel data: expected {count} bytes, got {len(payload)}"
-            )
-        pixels = np.frombuffer(payload, dtype=np.uint8).astype(float)
-    if pixels.max(initial=0.0) > maxval:
+                f"truncated pixel data: expected {count} values, got {len(values)}"
+            ) from None
+        low, high = min(values), max(values)
+    else:
+        payload = data[pos + 1 : pos + 1 + count]  # one whitespace byte after maxval
+        if len(payload) < count:
+            raise ParseError(f"truncated pixel data: expected {count} bytes, got {len(payload)}")
+        values = np.frombuffer(payload, dtype=np.uint8)
+        low, high = 0, int(values.max())
+    if high > maxval:
         raise ParseError(f"pixel value exceeds maxval {maxval}")
-    return GrayImage(pixels.reshape(height, width))
+    if low < 0:
+        raise ParseError(f"negative pixel value {low}")
+    return GrayImage(np.reshape(values, (height, width)))
 
 
 def write_pgm(image: GrayImage, dest, binary: bool = True) -> None:
     """Write a PGM file, P5 when binary else P2; pixels round to integers."""
     px = np.rint(image.pixels).astype(np.uint8)
-    header = f"P5\n{image.width} {image.height}\n255\n" if binary else \
-        f"P2\n{image.width} {image.height}\n255\n"
+    header = f"P{5 if binary else 2}\n{image.width} {image.height}\n255\n".encode("ascii")
     if binary:
-        blob = header.encode("ascii") + px.tobytes()
+        body = px.tobytes()
     else:
-        body = "\n".join(" ".join(str(v) for v in row) for row in px)
-        blob = (header + body + "\n").encode("ascii")
-    if hasattr(dest, "write"):
-        dest.write(blob)
-    else:
-        with open(dest, "wb") as fh:
-            fh.write(blob)
+        body = ("\n".join(" ".join(str(v) for v in row) for row in px) + "\n").encode("ascii")
+    _write(header + body, dest)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +341,7 @@ def _crop_to_multiple(pixels, multiple):
     H = (h // multiple) * multiple
     W = (w // multiple) * multiple
     if H < multiple or W < multiple:
-        raise ShapeError(
-            f"image {h} x {w} too small to hold a {multiple}-divisible grid"
-        )
+        raise ShapeError(f"image {h} x {w} too small to hold a {multiple}-divisible grid")
     if (H, W) != (h, w):
         warnings.warn(
             f"cropping {h} x {w} image to {H} x {W} for an exact 3 x 3 grid",
@@ -422,9 +405,7 @@ def image_columns(images: list[GrayImage]) -> np.ndarray:
     shape = images[0].pixels.shape
     for img in images:
         if img.pixels.shape != shape:
-            raise ShapeError(
-                f"image sizes differ: {img.pixels.shape} vs {shape}"
-            )
+            raise ShapeError(f"image sizes differ: {img.pixels.shape} vs {shape}")
     return np.column_stack([img.pixels.ravel(order="F") for img in images])
 
 
@@ -459,16 +440,12 @@ def write_csv_matrix(values, dest) -> None:
     if vals.ndim != 2 or vals.size == 0:
         raise ShapeError(f"expected a nonempty 2-d array, got shape {np.shape(values)}")
     text = "\n".join(",".join(repr(float(v)) for v in row) for row in vals) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write(text, dest)
 
 
 def read_csv_matrix(source) -> np.ndarray:
     """Read a dense CSV matrix written by write_csv_matrix."""
-    text = _read_text(source)
+    text = _read(source)
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -481,9 +458,7 @@ def read_csv_matrix(source) -> np.ndarray:
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise ParseError(
-                f"line {lineno}: expected {width} columns, got {len(row)}"
-            )
+            raise ParseError(f"line {lineno}: expected {width} columns, got {len(row)}")
         rows.append(row)
     if not rows:
         raise ParseError("no rows found in input")

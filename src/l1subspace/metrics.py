@@ -20,6 +20,7 @@ from .linalg import singular_values
 from .solvers import RunTrace
 
 KMEANS_MAX_ITERS = 300
+KMEANS_RESTARTS = 10
 
 
 class GapTraces(NamedTuple):
@@ -170,8 +171,8 @@ def _lloyd(pts, centers, max_iters):
     return labels, inertia
 
 
-def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> np.ndarray:
-    """Seeded k-means labels for column points, best of ``restarts`` runs.
+def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
+    """Seeded k-means labels for column points, best of ``KMEANS_RESTARTS`` runs.
 
     ``points`` holds one point per column.  Each restart draws its own
     generator from (seed, restart), initializes with distance-squared
@@ -187,11 +188,9 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> np.ndarray:
     n = pts.shape[1]
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= n):
         raise DomainError(f"k must be in 1..{n}, got {k!r}")
-    if not (isinstance(restarts, (int, np.integer)) and restarts >= 1):
-        raise DomainError(f"restarts must be a positive integer, got {restarts!r}")
     pts = pts.T.copy()
     best_labels, best_inertia = None, np.inf
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, r])
         centers = _kmeans_plus_plus(pts, int(k), rng)
         labels, inertia = _lloyd(pts, centers, KMEANS_MAX_ITERS)

@@ -37,6 +37,7 @@ from .core import (
     SignMatrix,
     SolverConfig,
     StiefelPoint,
+    _positive_finite,
     h_from_factors,
     objective_l,
     sign_select,
@@ -175,8 +176,7 @@ def update_P(P: SignMatrix, X: DataMatrix, E: np.ndarray, alpha: float) -> SignM
     This is the exact minimizer of -<P', X^T E> + (alpha/2) ||P' - P||_F^2
     over sign matrices P'.
     """
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0):
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    _positive_finite("alpha", alpha)
     E = np.asarray(E, dtype=float)
     if E.shape != (X.d, X.d):
         raise ShapeError(f"E must be {X.d} x {X.d}, got {E.shape}")
@@ -191,8 +191,7 @@ def update_Q(Q: StiefelPoint, P_next: SignMatrix, X: DataMatrix, beta: float) ->
     This maximizes <Q', S Q + beta Q> over the Stiefel manifold, i.e. the
     linearized objective plus the proximal coupling to the previous Q.
     """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise DomainError(f"beta must be positive and finite, got {beta!r}")
+    _positive_finite("beta", beta)
     if P_next.values.shape != (X.n, X.d):
         raise ShapeError(f"P must be {X.n} x {X.d}, got {P_next.values.shape}")
     if Q.d != X.d:
@@ -231,9 +230,8 @@ def _beta(SVt: np.ndarray, P: np.ndarray, beta_star: float, beta_sup: float) -> 
 
 def gamma_star(alpha_star: float, beta_star: float, X: DataMatrix) -> float:
     """Extrapolation cap gamma* = min(1, alpha_star beta_star / (8 ||X||^2))."""
-    for name, value in (("alpha_star", alpha_star), ("beta_star", beta_star)):
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    _positive_finite("alpha_star", alpha_star)
+    _positive_finite("beta_star", beta_star)
     return _gamma_cap(alpha_star, beta_star, _data_factor(X.values)[0])
 
 
@@ -242,8 +240,7 @@ def adaptive_beta(X: DataMatrix, P: SignMatrix, beta_star: float, beta_sup: floa
 
     Raises InfeasibleBoundError when the value would exceed beta_sup.
     """
-    if not (isinstance(beta_star, (int, float)) and math.isfinite(beta_star) and beta_star > 0):
-        raise DomainError(f"beta_star must be positive and finite, got {beta_star!r}")
+    _positive_finite("beta_star", beta_star)
     if P.values.shape != (X.n, X.d):
         raise ShapeError(f"P must be {X.n} x {X.d}, got {P.values.shape}")
     return _beta(_data_factor(X.values)[1], P.values, beta_star, beta_sup)
@@ -288,8 +285,7 @@ def criticality_residual(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> float
 def check_alpha_condition(X: DataMatrix, Q: StiefelPoint, alpha_star: float) -> bool:
     """Post-hoc step-size test: alpha_star below the smallest nonzero entry
     magnitude of X^T Q Q^T.  Vacuously true when that matrix is zero."""
-    if not (isinstance(alpha_star, (int, float)) and math.isfinite(alpha_star) and alpha_star > 0):
-        raise DomainError(f"alpha_star must be positive and finite, got {alpha_star!r}")
+    _positive_finite("alpha_star", alpha_star)
     if Q.d != X.d:
         raise ShapeError(f"Q has {Q.d} rows but X has {X.d} rows")
     T = (X.values.T @ Q.values) @ Q.values.T

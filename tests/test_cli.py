@@ -57,6 +57,14 @@ def solve_args(out, data, **overrides):
     return argv
 
 
+def insert_undecodable_byte(src, dest):
+    # a copy of src with one 0xff byte, which no ASCII or UTF-8 reader
+    # accepts, in the middle of the file
+    blob = src.read_bytes()
+    dest.write_bytes(blob[: len(blob) // 2] + b"\xff" + blob[len(blob) // 2 :])
+    return dest
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -114,6 +122,13 @@ class TestConfigHandling:
         assert run_cli("solve", "--out", tmp_path / "o", "--data", small_csv,
                        "--k", 2, *beta) == 2
         assert "invalid solver settings" in capsys.readouterr().err
+
+    def test_undecodable_config_file_is_config_error(self, tmp_path, small_csv, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k = 2\nbeta = 20\xff\n")
+        assert run_cli("solve", "--config", cfg, "--out", tmp_path / "o",
+                       "--data", small_csv) == 2
+        assert "cannot read config file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +239,15 @@ class TestSolve:
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert run_cli(*solve_args(tmp_path / "o", tmp_path / "nope.csv")) == 3
+
+    @pytest.mark.parametrize("flag", ["--data", "--libsvm"])
+    def test_undecodable_byte_is_data_error(self, tmp_path, small_csv, blobs_libsvm,
+                                            flag, capsys):
+        source = small_csv if flag == "--data" else blobs_libsvm
+        bad = insert_undecodable_byte(source, tmp_path / "bad")
+        assert run_cli("solve", "--out", tmp_path / "o", flag, bad, "--k", 2,
+                       "--beta", 20) == 3
+        assert "0xff is not ASCII" in capsys.readouterr().err
 
     def test_data_and_libsvm_together_rejected(self, tmp_path, small_csv,
                                                blobs_libsvm):
@@ -392,6 +416,12 @@ class TestCluster:
         assert run_cli("cluster", "--out", tmp_path / "c", "--libsvm", path,
                        "--beta", 20) == 3
 
+    def test_undecodable_byte_is_data_error(self, tmp_path, blobs_libsvm, capsys):
+        bad = insert_undecodable_byte(blobs_libsvm, tmp_path / "bad.txt")
+        assert run_cli("cluster", "--out", tmp_path / "c", "--libsvm", bad,
+                       "--beta", 20) == 3
+        assert "0xff is not ASCII" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # reconstruct
@@ -464,6 +494,12 @@ class TestReconstruct:
 
     def test_requires_some_input(self, tmp_path):
         assert run_cli("reconstruct", "--out", tmp_path / "r") == 2
+
+    def test_negative_p2_pixel_is_data_error(self, tmp_path, capsys):
+        clean = tmp_path / "clean.pgm"
+        clean.write_bytes(b"P2\n6 6\n255\n" + b"7 " * 35 + b"-1\n")
+        assert run_cli("reconstruct", "--out", tmp_path / "r", "--image", clean) == 3
+        assert "negative pixel value" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -557,3 +593,71 @@ class TestCheck:
         moved = tmp_path / "moved.csv"
         moved.write_bytes((small_csv).read_bytes())
         assert run_cli("check", "--run", finished_run, "--data", moved) == 0
+
+    def test_undecodable_data_override_is_data_error(self, finished_run, small_csv,
+                                                     tmp_path, capsys):
+        bad = insert_undecodable_byte(small_csv, tmp_path / "bad.csv")
+        assert run_cli("check", "--run", finished_run, "--data", bad) == 3
+        assert "0xff is not ASCII" in capsys.readouterr().err
+
+    def test_data_override_of_another_shape_is_data_error(self, finished_run, tmp_path,
+                                                          capsys):
+        other = tmp_path / "other.csv"
+        write_csv_matrix(np.random.default_rng(0).standard_normal((7, 60)), other)
+        assert run_cli("check", "--run", finished_run, "--data", other) == 3
+        assert "do not fit the 7 x 60 dataset" in capsys.readouterr().err
+
+    def test_undecodable_report_is_corrupt(self, finished_run, capsys):
+        report = finished_run / "report.json"
+        insert_undecodable_byte(report, report)
+        assert run_cli("check", "--run", finished_run) == 3
+        assert "corrupt report JSON" in capsys.readouterr().err
+
+    def test_undecodable_trace_is_corrupt(self, tmp_path, small_csv, capsys):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--out", out, "--data", small_csv, "--k", 2,
+                       "--beta-star", 1.0, "--beta-sup", 1e9, "--theory",
+                       "--max-iters", 50, "--seed", 2) == 0
+        insert_undecodable_byte(out / "trace.csv", out / "trace.csv")
+        assert run_cli("check", "--run", out) == 3
+        assert "corrupt trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry,value", [("config", [1]), ("results", None),
+                                             ("results", "done")])
+    def test_non_object_report_entry_is_corrupt(self, finished_run, entry, value, capsys):
+        path = finished_run / "report.json"
+        report = json.loads(path.read_text())
+        report[entry] = value
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", finished_run) == 3
+        assert f"corrupt report: '{entry}' is not a JSON object" in capsys.readouterr().err
+
+    def test_non_object_report_is_corrupt(self, finished_run):
+        (finished_run / "report.json").write_text("5\n")
+        assert run_cli("check", "--run", finished_run) == 3
+
+    def test_non_numeric_stored_criticality_is_corrupt(self, finished_run, capsys):
+        path = finished_run / "report.json"
+        report = json.loads(path.read_text())
+        report["results"]["criticality"] = "small"
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", finished_run) == 3
+        assert "'criticality' is not a number" in capsys.readouterr().err
+
+    def test_wrong_final_objective_fails_consistency(self, finished_run, capsys):
+        path = finished_run / "report.json"
+        report = json.loads(path.read_text())
+        report["results"]["final_objective"] *= 2.0
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", finished_run) == 5
+        printed = capsys.readouterr().out
+        assert "criticality: PASS" in printed
+        assert "report consistency: FAIL" in printed
+        assert "final_objective stored" in printed
+
+    def test_missing_final_objective_is_corrupt(self, finished_run):
+        path = finished_run / "report.json"
+        report = json.loads(path.read_text())
+        del report["results"]["final_objective"]
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", finished_run) == 3

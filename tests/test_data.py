@@ -2,9 +2,12 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1subspace import (
     DataMatrix,
@@ -221,6 +224,18 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="line 3"):
             parse_libsvm(io.StringIO("1 1:1.0\n\n1 0:9\n"))
 
+    @pytest.mark.parametrize("label", ["inf", "-inf", "nan", "1e300", "-1e19"])
+    def test_label_beyond_int64_raises(self, label):
+        # these once escaped as OverflowError or ValueError from int(round(.))
+        with pytest.raises(ParseError, match="line 2: label .* out of range"):
+            parse_libsvm(io.StringIO(f"1 1:1.0\n{label} 1:2.0\n"))
+
+    def test_non_ascii_byte_names_its_offset(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 1:1.0\n2 1:\xff\n")
+        with pytest.raises(ParseError, match="byte 12: 0xff is not ASCII"):
+            parse_libsvm(path)
+
 
 class TestWriteLibsvm:
     def test_round_trip_is_exact(self):
@@ -310,6 +325,30 @@ class TestPgmIO:
     def test_malformed_pgm_raises(self, data, fragment):
         with pytest.raises(ParseError, match=fragment):
             read_pgm(data)
+
+    @pytest.mark.parametrize(
+        "data,fragment",
+        [
+            # once a DomainError from GrayImage and an OverflowError from numpy
+            (b"P2\n2 1\n255\n7 -1\n", "negative pixel value -1"),
+            (b"P2\n1 1\n255\n" + b"9" * 400 + b"\n", "exceeds maxval"),
+            (b"P2\n2 1\n255\n-" + b"9" * 400 + b" 3\n", "negative pixel value"),
+        ],
+        ids=["negative", "beyond-float", "negative-beyond-float"],
+    )
+    def test_out_of_range_p2_pixels_are_parse_errors(self, data, fragment):
+        with pytest.raises(ParseError, match=fragment):
+            read_pgm(data)
+
+    def test_hash_inside_a_token_is_part_of_it(self):
+        with pytest.raises(ParseError, match="bad width: b'3#x'"):
+            read_pgm(b"P2 3#x 2 255\n")
+        with pytest.raises(ParseError, match="expected 1 values, got 0"):
+            read_pgm(b"P2 1 1 255 7#c\n")
+
+    def test_comment_at_end_of_input_is_not_a_token(self):
+        with pytest.raises(ParseError, match="truncated header"):
+            read_pgm(b"P2 1 1 #255")
 
     def test_pixel_range_is_enforced(self):
         with pytest.raises(DomainError):
@@ -485,3 +524,146 @@ class TestCsvMatrix:
     def test_empty_input_raises(self):
         with pytest.raises(ParseError, match="no rows"):
             read_csv_matrix(io.StringIO(""))
+
+
+# ---------------------------------------------------------------------------
+# parser properties: exact round trips, and only ParseError on bad input
+
+# whitespace bytes PGM allows between tokens
+_PGM_SPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n"]
+
+
+def _pgm_separators(count):
+    """``count`` separators, each whitespace then any mix of whitespace and
+    whole-line comments (a comment must end before the next token)."""
+    part = st.sampled_from(_PGM_SPACE + [b"# note\n", b"#\r", b"# P5 9 9\r\n"])
+    sep = st.tuples(st.sampled_from(_PGM_SPACE), st.lists(part, max_size=3))
+    return st.lists(
+        sep.map(lambda p: p[0] + b"".join(p[1])), min_size=count, max_size=count
+    )
+
+
+@st.composite
+def _images(draw):
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pixels = draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w))
+    return GrayImage(np.reshape(pixels, (h, w)).astype(float))
+
+
+def _interleave(tokens, separators):
+    return b"".join(sep + tok for sep, tok in zip(separators, tokens[1:]))
+
+
+@given(img=_images(), data=st.data())
+@settings(deadline=None)
+def test_p2_round_trip_with_comments_between_tokens(img, data):
+    buf = io.BytesIO()
+    write_pgm(img, buf, binary=False)
+    tokens = buf.getvalue().split()
+    seps = data.draw(_pgm_separators(len(tokens) - 1))
+    back = read_pgm(tokens[0] + _interleave(tokens, seps) + b"\n")
+    assert np.array_equal(back.pixels, img.pixels)
+
+
+@given(img=_images(), data=st.data())
+@settings(deadline=None)
+def test_p5_round_trip_with_comments_between_header_tokens(img, data):
+    buf = io.BytesIO()
+    write_pgm(img, buf, binary=True)
+    blob = buf.getvalue()
+    head_len = len(b"P5\n%d %d\n255" % (img.width, img.height))
+    tokens = blob[:head_len].split()
+    seps = data.draw(_pgm_separators(3))
+    # exactly one whitespace byte separates maxval from the raster
+    back = read_pgm(tokens[0] + _interleave(tokens, seps) + blob[head_len:])
+    assert np.array_equal(back.pixels, img.pixels)
+
+
+@given(
+    prefix=st.sampled_from([b"", b"P2 2 2 255 ", b"P5 2 2 255\n", b"P2 1 1 9\n", b"P5\n"]),
+    tail=st.binary(max_size=64),
+)
+@settings(deadline=None, max_examples=300)
+def test_read_pgm_on_arbitrary_bytes_gives_image_or_parse_error(prefix, tail):
+    try:
+        img = read_pgm(prefix + tail)
+    except ParseError:
+        return
+    assert isinstance(img, GrayImage)
+
+
+_FLOAT_ROWS = st.integers(1, 5).flatmap(
+    lambda w: st.lists(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=w, max_size=w),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+@given(rows=_FLOAT_ROWS)
+@settings(deadline=None)
+def test_csv_round_trip_is_bitwise(rows):
+    vals = np.array(rows, dtype=float)
+    buf = io.StringIO()
+    write_csv_matrix(vals, buf)
+    back = read_csv_matrix(io.StringIO(buf.getvalue()))
+    # -0.0, subnormals and infinities keep their bits; nan is written as
+    # "nan", so only its payload is lost
+    expected = np.where(np.isnan(vals), np.nan, vals)
+    assert back.tobytes() == expected.tobytes()
+
+
+def test_csv_round_trip_keeps_special_values():
+    vals = np.array([[-0.0, 5e-324, np.nan], [np.inf, -np.inf, 2.2250738585072014e-308]])
+    buf = io.StringIO()
+    write_csv_matrix(vals, buf)
+    assert read_csv_matrix(io.StringIO(buf.getvalue())).tobytes() == vals.tobytes()
+
+
+@st.composite
+def _labeled_datasets(draw):
+    # indices stay small: parse_libsvm densifies to (largest index) x n
+    d, n = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    entries = st.one_of(st.just(0.0), finite)
+    values = draw(st.lists(entries, min_size=d * n, max_size=d * n))
+    labels = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
+    return LabeledDataset(DataMatrix(np.reshape(values, (d, n))), np.asarray(labels))
+
+
+@given(ds=_labeled_datasets())
+@settings(deadline=None)
+def test_libsvm_round_trip_is_exact(ds):
+    buf = io.StringIO()
+    write_libsvm(ds, buf)
+    back = parse_libsvm(io.StringIO(buf.getvalue()), n_features=ds.features.d)
+    # zeros are dropped on write, so -0.0 comes back as 0.0: compare values
+    assert np.array_equal(back.features.values, ds.features.values)
+    assert np.array_equal(back.labels, ds.labels)
+
+
+# text that mixes number syntax with separators, controls and non-ASCII
+_NUMBERISH = st.text(alphabet="0123456789.,:+-eEinfa \t\n\r\x0b\x0c\x85 \xe9٣")
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+
+@given(text=st.one_of(st.text(), _NUMBERISH))
+@settings(deadline=None, max_examples=300)
+def test_text_readers_on_arbitrary_files_give_result_or_parse_error(scratch_file, text):
+    scratch_file.write_bytes(text.encode("utf-8"))
+    try:
+        read_csv_matrix(scratch_file)
+    except ParseError:
+        pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # real-valued labels are rounded with a warning
+        try:
+            # a fixed dimension bounds the dense array an index can ask for
+            parse_libsvm(scratch_file, n_features=64)
+        except ParseError:
+            pass
