@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -852,10 +853,15 @@ def cmd_check(args) -> int:
         )
 
     stored = _stored_number(results, "criticality")
-    if stored is None or math.isnan(residual):
-        consistent, detail = stored is None and math.isnan(residual), "stored value missing"
-        if not math.isnan(residual):
-            detail = f"recomputed {residual:.3e} but report stores null"
+    if math.isnan(residual):
+        consistent = stored is None
+        detail = (
+            "stored value missing"
+            if consistent
+            else f"stored {stored:.3e}, but the residual could not be recomputed"
+        )
+    elif stored is None:
+        consistent, detail = False, f"recomputed {residual:.3e} but report stores null"
     else:
         consistent = _agrees(stored, residual)
         detail = f"stored {stored:.3e}, recomputed {residual:.3e}"
@@ -912,6 +918,7 @@ def _add_option_flags(parser: argparse.ArgumentParser, command: str) -> None:
             parser.add_argument(flag, dest=key, type=convert, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l1subspace",

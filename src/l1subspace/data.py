@@ -439,7 +439,7 @@ def write_csv_matrix(values, dest) -> None:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.size == 0:
         raise ShapeError(f"expected a nonempty 2-d array, got shape {np.shape(values)}")
-    text = "\n".join(",".join(repr(float(v)) for v in row) for row in vals) + "\n"
+    text = "\n".join(",".join(map(repr, row)) for row in vals.tolist()) + "\n"
     _write(text, dest)
 
 
@@ -452,7 +452,7 @@ def read_csv_matrix(source) -> np.ndarray:
         if not line.strip():
             continue
         try:
-            row = [float(tok) for tok in line.split(",")]
+            row = list(map(float, line.split(",")))
         except ValueError:
             raise ParseError(f"line {lineno}: bad numeric value") from None
         if width is None:

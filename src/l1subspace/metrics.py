@@ -128,45 +128,86 @@ def fit_linear_rate(gaps, window: range) -> RateFit:
 # clustering
 
 
-def _kmeans_plus_plus(pts, k, rng):
-    n = pts.shape[0]
-    centers = np.empty((k, pts.shape[1]))
-    centers[0] = pts[rng.integers(n)]
-    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+def _sq_dists(coords, centers, out, scratch):
+    """Squared distances from each center (row of ``centers``, k x K) to each
+    point (column of ``coords``, K x n) into ``out`` (k x n); ``scratch`` is a
+    second k x n buffer.
+
+    Coordinates are added one at a time, in order.  For K <= 7 that is bit
+    for bit what numpy's ``sum`` over the last axis of the n x k x K
+    difference array does; numpy sums pairwise only from 8 terms.
+    """
+    np.subtract(coords[0], centers[:, :1], out=out)
+    np.square(out, out=out)
+    for c in range(1, coords.shape[0]):
+        np.subtract(coords[c], centers[:, c : c + 1], out=scratch)
+        np.square(scratch, out=scratch)
+        out += scratch
+    return out
+
+
+def _nearest_center(dists):
+    """Index of each column's smallest entry, the first one on ties (as
+    ``argmin(axis=0)``, without its transposed copy), and that entry."""
+    labels = np.zeros(dists.shape[1], dtype=np.intp)
+    nearest = dists[0].copy()
+    for j in range(1, dists.shape[0]):
+        labels[dists[j] < nearest] = j
+        np.minimum(nearest, dists[j], out=nearest)
+    return labels, nearest
+
+
+def _kmeans_plus_plus(coords, k, rng):
+    n = coords.shape[1]
+    centers = np.empty((k, coords.shape[0]))
+    d2, new, scratch = np.empty((3, 1, n))
+    centers[0] = coords[:, rng.integers(n)]
+    _sq_dists(coords, centers[:1], d2, scratch)
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
-            idx = rng.choice(n, p=d2 / total)
+            idx = rng.choice(n, p=d2[0] / total)
         else:
             idx = rng.integers(n)  # fewer distinct points than centers
-        centers[j] = pts[idx]
-        d2 = np.minimum(d2, ((pts - centers[j]) ** 2).sum(axis=1))
+        centers[j] = coords[:, idx]
+        np.minimum(d2, _sq_dists(coords, centers[j : j + 1], new, scratch), out=d2)
     return centers
 
 
 def _lloyd(pts, centers, max_iters):
     n, k = pts.shape[0], centers.shape[0]
+    coords = pts.T.copy()
+    dists, scratch = np.empty((2, k, n))
     labels = None
     for _ in range(max_iters):
-        dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dists.argmin(axis=1)
-        # reseed each empty cluster with the point farthest from its center
-        assigned = dists[np.arange(n), new_labels]
-        taken: set[int] = set()
-        for j in range(k):
-            if not np.any(new_labels == j):
-                order = np.argsort(-assigned)
-                far = next(int(i) for i in order if int(i) not in taken)
-                taken.add(far)
-                centers[j] = pts[far]
-                new_labels[far] = j
+        new_labels, nearest = _nearest_center(_sq_dists(coords, centers, dists, scratch))
+        counts = np.bincount(new_labels, minlength=k)
+        if not counts.all():
+            # reseed each empty cluster with the point farthest from its
+            # center; a reseed can empty a later cluster, which is reseeded too
+            farthest = iter(np.argsort(-nearest))
+            for j in range(k):
+                if counts[j] == 0:
+                    far = next(farthest)
+                    counts[new_labels[far]] -= 1
+                    counts[j] = 1
+                    new_labels[far] = j
+                    centers[j] = pts[far]
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
-        for j in range(k):
-            members = pts[labels == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
+        filled = counts > 0
+        if len(coords) == 1:
+            # mean(axis=0) of an m x 1 array sums pairwise, not in member
+            # order as bincount does, so one coordinate keeps the mean
+            for j in np.flatnonzero(filled):
+                centers[j, 0] = coords[0][labels == j].mean()
+        else:
+            # bincount adds each cluster's members in index order, as
+            # mean(axis=0) does over the rows of an m x K array
+            for c, row in enumerate(coords):
+                sums = np.bincount(labels, weights=row, minlength=k)
+                centers[filled, c] = sums[filled] / counts[filled]
     inertia = float(((pts - centers[labels]) ** 2).sum())
     return labels, inertia
 
@@ -179,6 +220,16 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
     sampling, and runs Lloyd iterations until assignments stabilize; the
     restart with the lowest within-cluster sum of squares wins, ties going
     to the lowest restart index.
+
+    Cost: O(restarts * iterations * n * k * K) time for n points of K
+    coordinates and k clusters, and O(n k) memory: squared distances go into
+    two reused k x n buffers, one coordinate at a time, and cluster sums come
+    from ``np.bincount``.  For K <= 7 the labels are bit for bit those of the
+    n x k x K broadcast formulation.  From K = 8 numpy sums that broadcast
+    array pairwise, so distances differ in the last bits and a near tie can
+    go the other way: in 300 random inputs with K = 8..12 (n 20..300, k
+    2..10, a third rounded to integers) no ``kmeans`` call and 2 single
+    Lloyd runs from fixed centers gave other labels.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.size == 0:
@@ -188,11 +239,12 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
     n = pts.shape[1]
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= n):
         raise DomainError(f"k must be in 1..{n}, got {k!r}")
+    coords = np.ascontiguousarray(pts)
     pts = pts.T.copy()
     best_labels, best_inertia = None, np.inf
     for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, r])
-        centers = _kmeans_plus_plus(pts, int(k), rng)
+        centers = _kmeans_plus_plus(coords, int(k), rng)
         labels, inertia = _lloyd(pts, centers, KMEANS_MAX_ITERS)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia

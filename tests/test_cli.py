@@ -548,6 +548,18 @@ class TestCheck:
         assert run_cli("check", "--run", finished_run) == 5
         assert "of them above alpha" in capsys.readouterr().out
 
+    def test_stored_criticality_named_when_residual_not_recomputable(self, finished_run, capsys):
+        stored = json.loads((finished_run / "report.json").read_text())["results"]["criticality"]
+        P = read_csv_matrix(finished_run / "final_P.csv")
+        P[:, 0] = -P[:, 0]
+        write_csv_matrix(P, finished_run / "final_P.csv")
+        assert run_cli("check", "--run", finished_run) == 5
+        printed = capsys.readouterr().out
+        assert (
+            f"report consistency: FAIL (stored {stored:.3e}, "
+            "but the residual could not be recomputed"
+        ) in printed
+
     def test_stale_sign_block_is_explained(self, finished_run, capsys):
         # flip P where |X^T Q Q^T| is smallest and put alpha above it: the
         # sign step could have kept that sign, so check must say the alpha

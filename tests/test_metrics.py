@@ -1,9 +1,12 @@
 """Tests for quality metrics, rate fitting, clustering, and reconstruction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1subspace import (
     DataMatrix,
@@ -24,7 +27,7 @@ from l1subspace import (
     top_k_left_singular,
 )
 from l1subspace.errors import DomainError, ShapeError
-from l1subspace.metrics import _lloyd
+from l1subspace.metrics import KMEANS_MAX_ITERS, KMEANS_RESTARTS, _lloyd
 
 
 def centered(values):
@@ -252,6 +255,119 @@ class TestKmeans:
         labels, inertia = _lloyd(pts, centers, 300)
         assert len(set(labels.tolist())) == 2
         assert math.isfinite(inertia)
+
+
+# Reference k-means: the n x k x K broadcast formulation with per-cluster
+# boolean masks and mean(axis=0).  The library's column-wise kernel must give
+# the same labels, inertia and centers bit for bit for K <= 7.
+
+
+def _reference_kmeans_plus_plus(pts, k, rng):
+    n = pts.shape[0]
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = pts[rng.integers(n)]
+    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[j] = pts[idx]
+        d2 = np.minimum(d2, ((pts - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def _reference_lloyd(pts, centers, max_iters):
+    n, k = pts.shape[0], centers.shape[0]
+    labels = None
+    for _ in range(max_iters):
+        dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dists.argmin(axis=1)
+        assigned = dists[np.arange(n), new_labels]
+        taken: set[int] = set()
+        for j in range(k):
+            if not np.any(new_labels == j):
+                order = np.argsort(-assigned)
+                far = next(int(i) for i in order if int(i) not in taken)
+                taken.add(far)
+                centers[j] = pts[far]
+                new_labels[far] = j
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            members = pts[labels == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    inertia = float(((pts - centers[labels]) ** 2).sum())
+    return labels, inertia
+
+
+def _reference_kmeans(points, k, seed):
+    pts = np.asarray(points, dtype=float).T.copy()
+    best_labels, best_inertia = None, np.inf
+    for r in range(KMEANS_RESTARTS):
+        rng = np.random.default_rng([seed, r])
+        centers = _reference_kmeans_plus_plus(pts, k, rng)
+        labels, inertia = _reference_lloyd(pts, centers, KMEANS_MAX_ITERS)
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels
+
+
+@st.composite
+def cluster_inputs(draw):
+    """K x n column points, K in 1..7, with k <= min(n, 10) clusters.  Points
+    are standard normal, rounded to integers, or a few integer points
+    repeated, so distance ties and empty clusters occur."""
+    K = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 300))
+    k = draw(st.integers(1, min(n, 10)))
+    kind = draw(st.sampled_from(["normal", "integer", "duplicated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = 3.0 * rng.standard_normal((K, n))
+    if kind != "normal":
+        points = np.round(points)
+    if kind == "duplicated":
+        points = points[:, rng.integers(0, max(1, n // 4), size=n)]
+    return points, k, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(cluster_inputs(), st.integers(0, 1000))
+def test_kmeans_matches_broadcast_reference(case, seed):
+    points, k, _ = case
+    assert np.array_equal(kmeans(points, k, seed=seed), _reference_kmeans(points, k, seed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cluster_inputs(), st.sampled_from([0.0, 1.0, 20.0]))
+def test_lloyd_matches_broadcast_reference(case, spread):
+    # centers on, near or far from data points: far ones leave clusters empty
+    points, k, rng = case
+    pts = points.T.copy()
+    start = pts[rng.integers(0, pts.shape[0], size=k)] + spread * rng.standard_normal((k, pts.shape[1]))
+    centers, want_centers = start.copy(), start.copy()
+    labels, inertia = _lloyd(pts, centers, KMEANS_MAX_ITERS)
+    want_labels, want_inertia = _reference_lloyd(pts, want_centers, KMEANS_MAX_ITERS)
+    assert np.array_equal(labels, want_labels)
+    assert inertia == want_inertia
+    assert np.array_equal(centers, want_centers)
+
+
+def test_lloyd_memory_is_linear_in_points_times_clusters():
+    # one n x k x K float array at n = 20000, k = 10, K = 7 is 10.7 MiB
+    rng = np.random.default_rng(13)
+    pts = rng.standard_normal((20000, 7))
+    centers = pts[:10].copy()
+    tracemalloc.start()
+    try:
+        _lloyd(pts, centers, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 class TestClusteringAccuracy:
