@@ -13,6 +13,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -181,12 +182,107 @@ def parse_libsvm(source, n_features: int | None = None) -> LabeledDataset:
 
     ``n_features`` fixes the dimension; otherwise the largest index seen is
     used.  Labels must be integers; real-valued labels are rounded with a
-    warning.  Any malformed content raises ParseError naming the line.
+    warning.  Any malformed content raises ParseError naming the first bad
+    line.  So does an index too large for the dense (largest index) x n
+    array: one of 2**63 or more as a fault of its line, any other when
+    allocating the array fails (an ``n_features`` too large to allocate
+    raises numpy's own error).  Still open: an index that is large but not
+    absurd (10**9 asks for 8 GB a sample) can be allocated lazily under
+    memory overcommit and exhaust memory later, when the array is used.
+
+    Cost: O(entries) numpy work beyond the dense array, plus one Python
+    ``int`` or ``float`` conversion per token.  All tokens are converted
+    together, and the per-token strings are released before the dense
+    array is allocated; malformed input is re-read line by line to name its
+    first error.
     """
     text = _read(source)
-    labels: list[int] = []
-    rows: list[tuple[int, list[tuple[int, float]]]] = []
-    max_index = 0
+    linenos: list[int] = []
+    label_tokens: list[str] = []
+    counts: list[int] = []
+    features: list[str] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if tokens:
+            linenos.append(lineno)
+            label_tokens.append(tokens[0])
+            counts.append(len(tokens) - 1)
+            if len(tokens) > 1:
+                features.append(" ".join(tokens[1:]))
+    joined = " ".join(features)
+    del features
+    try:
+        raw, idx, vals, cols = _libsvm_arrays(label_tokens, counts, joined)
+    except (ValueError, OverflowError):
+        raise _first_libsvm_error(text) from None
+    n = len(linenos)
+    if n == 0:
+        raise ParseError("no samples found in input")
+    labels = np.rint(raw)
+    for j in np.flatnonzero(raw != labels).tolist():
+        warnings.warn(
+            f"line {linenos[j]}: real-valued label {float(raw[j])} rounded to {int(labels[j])}",
+            stacklevel=2,
+        )
+    d = n_features if n_features is not None else int(idx.max(initial=0))
+    if d < 1:
+        raise ParseError("cannot infer dimension: no feature indices present")
+    try:
+        dense = np.zeros((d, n))
+    except (MemoryError, ValueError):
+        if n_features is not None:
+            raise
+        raise ParseError(
+            f"line {linenos[cols[np.argmax(idx)]]}: index {d} is too large: "
+            f"a dense {d} x {n} array cannot be allocated"
+        ) from None
+    beyond = np.flatnonzero(idx > d)
+    if beyond.size:
+        k = beyond[0]
+        raise ParseError(f"line {linenos[cols[k]]}: index {idx[k]} exceeds dimension {d}")
+    dense[idx - 1, cols] = vals
+    return LabeledDataset(DataMatrix(dense), labels.astype(int))
+
+
+# two colons inside one idx:val token (tokens are joined by single spaces)
+_TWO_COLONS = re.compile(r":[^ :]*:")
+
+
+def _libsvm_arrays(label_tokens, counts, joined):
+    """Raw labels, and the index, value and sample of every entry, converted
+    in bulk from the label tokens, the feature-token count of each line and
+    all feature tokens joined by single spaces.  Raises ValueError or
+    OverflowError if any line is malformed, without saying where."""
+    raw = np.fromiter(map(float, label_tokens), float, len(label_tokens))
+    total = sum(counts)
+    # with as many colons as tokens and never two in one token, each token
+    # has exactly one; 2 * total pieces means neither side of one is empty
+    if joined.count(":") != total or _TWO_COLONS.search(joined):
+        raise ValueError("a feature token lacks exactly one colon")
+    pieces = joined.replace(":", " ").split()
+    if len(pieces) != 2 * total:
+        raise ValueError("a feature token has an empty side")
+    idx = np.fromiter(map(int, islice(pieces, 0, None, 2)), np.int64, total)
+    vals = np.fromiter(map(float, islice(pieces, 1, None, 2)), float, total)
+    del pieces
+    cols = np.repeat(np.arange(len(counts)), counts)
+    # each index must exceed the one before it on its line, and 0 at a line start
+    prev = np.zeros_like(idx)
+    prev[1:] = np.where(cols[1:] == cols[:-1], idx[:-1], 0)
+    if not (
+        np.all(np.abs(raw) < 2.0**63)  # nan, inf, or beyond an int64 label
+        and np.all(idx > prev)
+        and np.all(np.isfinite(vals))
+    ):
+        raise ValueError("a label, index or value is out of range")
+    return raw, idx, vals, cols
+
+
+def _first_libsvm_error(text: str) -> ParseError:
+    """The ParseError of the first malformed line, found with per-token
+    conversions and checks; warns of rounded labels on the lines before it,
+    as parse_libsvm does.  Called once a bulk step has failed, so some line
+    is malformed."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
@@ -194,51 +290,36 @@ def parse_libsvm(source, n_features: int | None = None) -> LabeledDataset:
         try:
             raw_label = float(tokens[0])
         except ValueError:
-            raise ParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
+            return ParseError(f"line {lineno}: bad label {tokens[0]!r}")
         if not abs(raw_label) < 2.0**63:  # nan, inf, or beyond an int64 label
-            raise ParseError(f"line {lineno}: label {tokens[0]!r} out of range")
+            return ParseError(f"line {lineno}: label {tokens[0]!r} out of range")
         label = int(round(raw_label))
         if raw_label != label:
             warnings.warn(
                 f"line {lineno}: real-valued label {raw_label} rounded to {label}",
-                stacklevel=2,
+                stacklevel=3,
             )
-        entries: list[tuple[int, float]] = []
         prev = 0
         for tok in tokens[1:]:
             idx_str, sep, val_str = tok.partition(":")
             if not sep:
-                raise ParseError(f"line {lineno}: expected idx:val, got {tok!r}")
+                return ParseError(f"line {lineno}: expected idx:val, got {tok!r}")
             try:
                 idx = int(idx_str)
                 val = float(val_str)
             except ValueError:
-                raise ParseError(f"line {lineno}: bad feature token {tok!r}") from None
+                return ParseError(f"line {lineno}: bad feature token {tok!r}")
             if idx < 1:
-                raise ParseError(f"line {lineno}: index {idx} is not 1-based")
+                return ParseError(f"line {lineno}: index {idx} is not 1-based")
+            if idx >= 2**63:  # no dense array has that many rows
+                return ParseError(f"line {lineno}: index {idx} is too large")
             if idx <= prev:
-                raise ParseError(
+                return ParseError(
                     f"line {lineno}: index {idx} does not increase (previous {prev})"
                 )
             if not math.isfinite(val):
-                raise ParseError(f"line {lineno}: non-finite value in {tok!r}")
-            entries.append((idx, val))
+                return ParseError(f"line {lineno}: non-finite value in {tok!r}")
             prev = idx
-        labels.append(label)
-        rows.append((lineno, entries))
-        max_index = max(max_index, prev)
-    if not rows:
-        raise ParseError("no samples found in input")
-    d = n_features if n_features is not None else max_index
-    if d < 1:
-        raise ParseError("cannot infer dimension: no feature indices present")
-    dense = np.zeros((d, len(rows)))
-    for j, (lineno, entries) in enumerate(rows):
-        for idx, val in entries:
-            if idx > d:
-                raise ParseError(f"line {lineno}: index {idx} exceeds dimension {d}")
-            dense[idx - 1, j] = val
-    return LabeledDataset(DataMatrix(dense), np.asarray(labels, dtype=int))
 
 
 def write_libsvm(dataset: LabeledDataset, dest) -> None:
@@ -247,15 +328,24 @@ def write_libsvm(dataset: LabeledDataset, dest) -> None:
     Values are written with full round-trip precision, so parse_libsvm on
     the output reproduces the dense matrix exactly (pass the dimension if a
     trailing feature row can be all zero).
+
+    Cost: O(entries) numpy work plus one ``repr`` per distinct value and
+    one string per entry; each line is one join.
     """
     X = dataset.features.values
-    lines = []
-    for j in range(X.shape[1]):
-        parts = [str(int(dataset.labels[j]))]
-        col = X[:, j]
-        for i in np.flatnonzero(col):
-            parts.append(f"{i + 1}:{float(col[i])!r}")
-        lines.append(" ".join(parts))
+    cols, rows = np.nonzero(X.T)  # the entries in column-major order
+    distinct, which = np.unique(X[rows, cols], return_inverse=True)
+    values = list(map(repr, distinct.tolist()))
+    keys = [f"{i}:" for i in range(1, X.shape[0] + 1)]
+    entries = list(
+        map(str.__add__, map(keys.__getitem__, rows.tolist()),
+            map(values.__getitem__, which.tolist()))
+    )
+    ends = np.cumsum(np.bincount(cols, minlength=X.shape[1])).tolist()
+    lines, start = [], 0
+    for label, end in zip(dataset.labels.tolist(), ends):
+        lines.append(" ".join([str(label), *entries[start:end]]))
+        start = end
     _write("\n".join(lines) + "\n", dest)
 
 

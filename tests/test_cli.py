@@ -24,6 +24,17 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+# indices whose dense array numpy refuses before asking for memory: one
+# beyond int64, and one whose 8-byte entries overflow the address space
+HUGE_INDICES = [10**30, 2 * 10**18]
+
+
+def huge_index_libsvm(tmp_path, index):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"1 1:1.0 2:2.0\n-1 1:3.0 {index}:4.0\n")
+    return path
+
+
 @pytest.fixture(scope="module")
 def small_csv(tmp_path_factory):
     # 20 x 60 planted rank-2 data with mild noise, saved once for the module
@@ -249,6 +260,14 @@ class TestSolve:
                        "--beta", 20) == 3
         assert "0xff is not ASCII" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("index", HUGE_INDICES)
+    def test_huge_index_is_data_error(self, tmp_path, index, capsys):
+        # once an uncaught ValueError from allocating the dense array
+        path = huge_index_libsvm(tmp_path, index)
+        assert run_cli("solve", "--out", tmp_path / "o", "--libsvm", path, "--k", 2,
+                       "--beta", 20) == 3
+        assert f"line 2: index {index} is too large" in capsys.readouterr().err
+
     def test_data_and_libsvm_together_rejected(self, tmp_path, small_csv,
                                                blobs_libsvm):
         argv = solve_args(tmp_path / "o", small_csv) + ["--libsvm", str(blobs_libsvm)]
@@ -421,6 +440,13 @@ class TestCluster:
         assert run_cli("cluster", "--out", tmp_path / "c", "--libsvm", bad,
                        "--beta", 20) == 3
         assert "0xff is not ASCII" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", HUGE_INDICES)
+    def test_huge_index_is_data_error(self, tmp_path, index, capsys):
+        path = huge_index_libsvm(tmp_path, index)
+        assert run_cli("cluster", "--out", tmp_path / "c", "--libsvm", path,
+                       "--beta", 20) == 3
+        assert f"line 2: index {index} is too large" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,19 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import l1subspace
 from l1subspace import (
     DataMatrix,
     GrayImage,
@@ -235,6 +241,58 @@ class TestParseLibsvm:
         path.write_bytes(b"1 1:1.0\n2 1:\xff\n")
         with pytest.raises(ParseError, match="byte 12: 0xff is not ASCII"):
             parse_libsvm(path)
+
+    @pytest.mark.parametrize(
+        "index,fragment",
+        [
+            # beyond int64: once "ValueError: Maximum allowed dimension exceeded"
+            (10**30, "is too large"),
+            # 8 bytes an entry overflow the address space: once a ValueError
+            (2 * 10**18, "is too large: a dense 2000000000000000000 x 2 array"),
+        ],
+    )
+    def test_huge_index_names_its_line(self, index, fragment):
+        text = f"1 1:1.0\n\n-1 2:1.0 {index}:1.0\n"
+        with pytest.raises(ParseError, match=f"line 3: index {index} {fragment}"):
+            parse_libsvm(io.StringIO(text))
+
+    def test_unallocatable_index_names_its_line(self):
+        # 7.28 TiB: once an uncaught MemoryError; the child process runs
+        # under a 3 GB address-space cap, so no memory overcommit can grant it
+        script = (
+            "import io, resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
+            "from l1subspace import parse_libsvm\n"
+            "from l1subspace.errors import ParseError\n"
+            "try:\n"
+            "    parse_libsvm(io.StringIO('1 1000000000000:1.0\\n'))\n"
+            "except ParseError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(l1subspace.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("line 1: index 1000000000000 is too large")
+
+    def test_parse_memory_stays_below_the_token_lists(self, tmp_path):
+        # 4000 x 40 word counts shaped like the benchmark's block text: the
+        # per-token loop peaked at 7.7 MB here and the bulk pass at 6.4 MB;
+        # keeping its list of idx and val strings alive to the end, 7.5 MB
+        rng = np.random.default_rng(0)
+        labels = np.arange(4000) % 4
+        rate = np.where(np.arange(40)[:, None] // 10 == labels, 1.2, 0.15)
+        path = tmp_path / "block.txt"
+        write_libsvm(LabeledDataset(DataMatrix(rng.poisson(rate).astype(float)), labels), path)
+        tracemalloc.start()
+        try:
+            parse_libsvm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.0e6
 
 
 class TestWriteLibsvm:
@@ -667,3 +725,165 @@ def test_text_readers_on_arbitrary_files_give_result_or_parse_error(scratch_file
             parse_libsvm(scratch_file, n_features=64)
         except ParseError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# LIBSVM bulk reader and writer against per-token references
+
+
+def _reference_parse_libsvm(text, n_features=None):
+    """The per-token LIBSVM parser the bulk one replaced, kept as its oracle."""
+    labels, rows, max_index = [], [], 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            raw_label = float(tokens[0])
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
+        if not abs(raw_label) < 2.0**63:
+            raise ParseError(f"line {lineno}: label {tokens[0]!r} out of range")
+        label = int(round(raw_label))
+        if raw_label != label:
+            warnings.warn(f"line {lineno}: real-valued label {raw_label} rounded to {label}")
+        entries, prev = [], 0
+        for tok in tokens[1:]:
+            idx_str, sep, val_str = tok.partition(":")
+            if not sep:
+                raise ParseError(f"line {lineno}: expected idx:val, got {tok!r}")
+            try:
+                idx, val = int(idx_str), float(val_str)
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad feature token {tok!r}") from None
+            if idx < 1:
+                raise ParseError(f"line {lineno}: index {idx} is not 1-based")
+            if idx <= prev:
+                raise ParseError(
+                    f"line {lineno}: index {idx} does not increase (previous {prev})"
+                )
+            if not math.isfinite(val):
+                raise ParseError(f"line {lineno}: non-finite value in {tok!r}")
+            entries.append((idx, val))
+            prev = idx
+        labels.append(label)
+        rows.append((lineno, entries))
+        max_index = max(max_index, prev)
+    if not rows:
+        raise ParseError("no samples found in input")
+    d = n_features if n_features is not None else max_index
+    if d < 1:
+        raise ParseError("cannot infer dimension: no feature indices present")
+    dense = np.zeros((d, len(rows)))
+    for j, (lineno, entries) in enumerate(rows):
+        for idx, val in entries:
+            if idx > d:
+                raise ParseError(f"line {lineno}: index {idx} exceeds dimension {d}")
+            dense[idx - 1, j] = val
+    return dense, labels
+
+
+def _reference_write_libsvm(dataset):
+    """The per-column LIBSVM writer the bulk one replaced, kept as its oracle."""
+    X = dataset.features.values
+    lines = []
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        parts = [str(int(dataset.labels[j]))]
+        parts += [f"{i + 1}:{float(col[i])!r}" for i in np.flatnonzero(col)]
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+# number syntax that int() and float() read differently: signs, digit
+# separators, exponents, non-ASCII digits, specials and plain junk
+_NUMBERS = ["+3", "-0", "007", "1_0", "٣", "1e1", "1.0", ".5", "1_0.5", "2E+2", "-1e-3"]
+_JUNK = ["1__0", "_1", "nan", "-inf", "inf", "Infinity", "1e400", "", "x"]
+_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-9, 9).map(str),
+    st.sampled_from(_NUMBERS),
+)
+_INDEX = st.one_of(st.integers(-1, 12).map(str), st.sampled_from(_NUMBERS + _JUNK))
+_LABEL = st.one_of(
+    st.integers(-3, 3).map(str), st.sampled_from(["1.5", "2.5", "-0.5", "+2", "1_0"])
+)
+_ANY_LABEL = st.one_of(_LABEL, st.sampled_from(["1e19", "-1e19", "1:2"] + _NUMBERS + _JUNK))
+_TOKEN = st.one_of(
+    st.tuples(_INDEX, st.one_of(_VALUE, st.sampled_from(_JUNK))).map(":".join),
+    st.tuples(_INDEX, _VALUE).map("::".join),  # doubled colon
+    st.tuples(_INDEX, _VALUE, _VALUE).map(":".join),  # two colons
+    _INDEX,  # no colon
+)
+# whitespace that separates tokens but ends no line, and every line break
+# str.splitlines knows
+_GAPS = st.sampled_from([" ", "  ", "\t", "\x1f", "\xa0", " \t "])
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                           "\x85", "\u2028", "\n\n", "\n \t\n"])
+
+
+@st.composite
+def _libsvm_soup(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 3)):
+            # well-formed: increasing indices, numbers that float() reads
+            label = draw(_LABEL)
+            indices = sorted(set(draw(st.lists(st.integers(1, 12), max_size=5))))
+            tokens = [f"{i}:{draw(_VALUE)}" for i in indices]
+        else:
+            label = draw(_ANY_LABEL)
+            tokens = draw(st.lists(_TOKEN, max_size=5))
+        line = draw(st.sampled_from(["", " "])) + label
+        for tok in tokens:
+            line += draw(_GAPS) + tok
+        lines.append(line + draw(st.sampled_from(["", " "])))
+    text = "".join(line + draw(_BREAKS) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+def _parse_outcome(parse, text, n_features):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            values, labels = parse(text, n_features)
+        except ParseError as exc:
+            result = str(exc)
+        else:
+            result = (values.shape, values.tobytes(), list(labels))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _bulk_parse(text, n_features):
+    ds = parse_libsvm(io.StringIO(text), n_features=n_features)
+    return ds.features.values, ds.labels
+
+
+@given(text=_libsvm_soup(), n_features=st.one_of(st.none(), st.integers(0, 14)))
+@settings(deadline=None, max_examples=400)
+def test_parse_libsvm_matches_per_token_reference(text, n_features):
+    # same array bits and labels, the same warnings in the same order, or
+    # the same ParseError text
+    assert _parse_outcome(_bulk_parse, text, n_features) == _parse_outcome(
+        _reference_parse_libsvm, text, n_features
+    )
+
+
+@st.composite
+def _sparse_datasets(draw):
+    d, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    # a small pool of values, so most repeat; zeros are dropped on write
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                         max_size=4))
+    values = draw(st.lists(st.sampled_from(pool + [0.0, -0.0]), min_size=d * n,
+                           max_size=d * n))
+    labels = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+    return LabeledDataset(DataMatrix(np.reshape(values, (d, n))), np.asarray(labels))
+
+
+@given(ds=_sparse_datasets())
+@settings(deadline=None, max_examples=300)
+def test_write_libsvm_matches_per_column_reference(ds):
+    buf = io.StringIO()
+    write_libsvm(ds, buf)
+    assert buf.getvalue() == _reference_write_libsvm(ds)
