@@ -4,10 +4,10 @@ Subcommands: synth | solve | bench | cluster | reconstruct | check.  Every
 run reads an optional flat ``key = value`` config file, applies flag
 overrides, writes the fully resolved config next to its outputs, and emits
 machine-readable artifacts (CSV traces, JSON reports).  Outputs are written
-atomically.  Identical config and seed give byte-identical traces and
-reports, except for the timing section of each report, on one BLAS/LAPACK
-build run with a fixed thread count; other thread counts can change the last
-digits.
+atomically through the writer of :mod:`l1subspace.data`.  Identical config
+and seed give byte-identical traces and reports, except for the timing
+section of each report, on one BLAS/LAPACK build run with a fixed thread
+count; other thread counts can change the last digits.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 solver error,
 5 check failure.
@@ -19,12 +19,10 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -32,6 +30,7 @@ import numpy as np
 from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, objective_l
 from .data import (
     GrayImage,
+    _write,
     center_features,
     corrupt_image,
     crop_to_grid,
@@ -225,45 +224,20 @@ def write_resolved_config(out_dir: str, resolved: dict) -> None:
         for key, value in sorted(resolved.items())
         if value is not None
     ]
-    _atomic_write_text(os.path.join(out_dir, "config.txt"), "\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# atomic file helpers
-
-
-def _atomic_write_bytes(path: str, blob: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    # UTF-8, not ASCII: a data path in the config may hold any character
+    _write(("\n".join(lines) + "\n").encode("utf-8"), os.path.join(out_dir, "config.txt"))
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _csv_matrix_text(values) -> str:
-    buf = io.StringIO()
-    write_csv_matrix(values, buf)
-    return buf.getvalue()
+    _write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"), path)
 
 
 def _jsonable_float(value):
+    """A float for JSON, or None for a missing value or one JSON cannot hold (nan, inf)."""
     if value is None:
         return None
     value = float(value)
-    return None if math.isnan(value) else value
+    return value if math.isfinite(value) else None
 
 
 def _ensure_out_dir(path: str) -> str:
@@ -415,8 +389,8 @@ def cmd_synth(args) -> int:
         raise CliError(EXIT_CONFIG, f"invalid synthetic settings: {exc}") from None
     x_path = os.path.join(out, "X.csv")
     q_path = os.path.join(out, "Q_true.csv")
-    _atomic_write_text(x_path, _csv_matrix_text(X.values))
-    _atomic_write_text(q_path, _csv_matrix_text(truth.Q_true.values))
+    write_csv_matrix(X.values, x_path)
+    write_csv_matrix(truth.Q_true.values, q_path)
     manifest = {
         "command": "synth",
         "d": resolved["d"],
@@ -452,13 +426,9 @@ def cmd_solve(args) -> int:
             tev_value = tev(X, report.final_Q)
         except DomainError:
             tev_value = None
-    _atomic_write_text(os.path.join(out, "trace.csv"), trace_csv_text(report.trace))
-    _atomic_write_text(
-        os.path.join(out, "final_Q.csv"), _csv_matrix_text(report.final_Q.values)
-    )
-    _atomic_write_text(
-        os.path.join(out, "final_P.csv"), _csv_matrix_text(report.final_P.values)
-    )
+    _write(trace_csv_text(report.trace).encode("utf-8"), os.path.join(out, "trace.csv"))
+    write_csv_matrix(report.final_Q.values, os.path.join(out, "final_Q.csv"))
+    write_csv_matrix(report.final_P.values, os.path.join(out, "final_P.csv"))
     results = {
         "final_objective": float(report.final_objective),
         "iterations": int(report.iterations),
@@ -562,7 +532,7 @@ def cmd_bench(args) -> int:
         summary.append(f"{variant}: mean tev {mean['tev']:.6f} over {len(good)} runs")
     lines = [",".join(header)]
     lines += [",".join(_csv_cell(row[col]) for col in header) for row in table]
-    _atomic_write_text(os.path.join(out, "bench.csv"), "\n".join(lines) + "\n")
+    _write(("\n".join(lines) + "\n").encode("utf-8"), os.path.join(out, "bench.csv"))
 
     if "palme" in variants and "palm" in variants:
         by_rep = {
@@ -574,7 +544,7 @@ def cmd_bench(args) -> int:
             if a is not None and b is not None:
                 cells = (rep, a["data_seed"], a["tev"], b["tev"], a["tev"] - b["tev"])
                 paired.append(",".join(_csv_cell(cell) for cell in cells))
-        _atomic_write_text(os.path.join(out, "paired.csv"), "\n".join(paired) + "\n")
+        _write(("\n".join(paired) + "\n").encode("utf-8"), os.path.join(out, "paired.csv"))
 
     write_resolved_config(out, resolved)
     print("\n".join(summary))
@@ -697,9 +667,7 @@ def cmd_reconstruct(args) -> int:
             for block in range(1, 10)
         ]
         for block, image in enumerate(corrupted, start=1):
-            _atomic_write_bytes(
-                os.path.join(out, f"corrupted_{block}.pgm"), _pgm_bytes(image)
-            )
+            write_pgm(image, os.path.join(out, f"corrupted_{block}.pgm"))
 
     try:
         columns = image_columns(corrupted)
@@ -720,7 +688,7 @@ def cmd_reconstruct(args) -> int:
     images = unstack_images(rebuilt, height, width)
     rmse = None
     for index, image in enumerate(images, start=1):
-        _atomic_write_bytes(os.path.join(out, f"recon_{index}.pgm"), _pgm_bytes(image))
+        write_pgm(image, os.path.join(out, f"recon_{index}.pgm"))
     if clean is not None:
         rmse = [
             float(np.sqrt(np.mean((image.pixels - clean.pixels) ** 2)))
@@ -742,12 +710,6 @@ def cmd_reconstruct(args) -> int:
     else:
         print("reconstructed 9 images (no clean reference, rmse skipped)")
     return EXIT_OK
-
-
-def _pgm_bytes(image: GrayImage) -> bytes:
-    buf = io.BytesIO()
-    write_pgm(image, buf, binary=True)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -844,13 +806,12 @@ def cmd_check(args) -> int:
         checks.append(("criticality", False, detail))
     else:
         residual = criticality_residual(final_Q, final_P, X)
-        checks.append(
-            (
-                "criticality",
-                residual <= bound,
-                f"residual {residual:.3e} vs bound {bound:.3e}",
-            )
-        )
+        # an overflowing norm makes both infinite, and inf <= inf proves nothing
+        finite = math.isfinite(residual) and math.isfinite(bound)
+        detail = f"residual {residual:.3e} vs bound {bound:.3e}"
+        if not finite:
+            detail += ", not finite"
+        checks.append(("criticality", finite and residual <= bound, detail))
 
     stored = _stored_number(results, "criticality")
     if math.isnan(residual):

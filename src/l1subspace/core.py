@@ -7,10 +7,9 @@ max(t, -t) entrywise turns this into minimizing
     H(P, Q) = -<P, X^T Q Q^T>
 
 jointly over sign matrices P and Stiefel points Q.  This module holds the
-shared value types, the two objectives, the extrapolation potential, and the
-sign selection rule.  Heavier linear algebra lives in
-:mod:`l1subspace.linalg`, the alternating scheme in
-:mod:`l1subspace.solvers`.
+shared value types, the two objectives, and the sign selection rule.
+Heavier linear algebra lives in :mod:`l1subspace.linalg`, the alternating
+scheme in :mod:`l1subspace.solvers`.
 
 All array-valued types copy their input and freeze it read-only, so instances
 can be shared freely between threads and runs.
@@ -130,26 +129,6 @@ class StiefelPoint:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class IterateTriple:
-    """State triple C = (P, Q, Q_prev) carried by the alternating scheme."""
-
-    P: SignMatrix
-    Q: StiefelPoint
-    Q_prev: StiefelPoint
-
-    def __post_init__(self):
-        if self.Q_prev.values.shape != self.Q.values.shape:
-            raise ShapeError(
-                f"Q_prev shape {self.Q_prev.values.shape} differs from Q shape "
-                f"{self.Q.values.shape}"
-            )
-        if self.P.d != self.Q.d:
-            raise ShapeError(
-                f"P is {self.P.n} x {self.P.d} but Q has {self.Q.d} rows"
-            )
-
-
 def _positive_finite(name, value):
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be a positive finite number, got {value!r}")
@@ -247,13 +226,6 @@ def h_from_factors(P: np.ndarray, Q: np.ndarray, XtQ: np.ndarray) -> float:
     This equals -<P, X^T Q Q^T> without forming that n x d matrix.
     """
     return -float(np.vdot(P @ Q, XtQ))
-
-
-def potential_phi(C: IterateTriple, beta_star: float, X: DataMatrix) -> float:
-    """Descent potential Phi(C) = h(P, Q) + (beta_star/2) ||Q - Q_prev||_F^2."""
-    _positive_finite("beta_star", beta_star)
-    drift = C.Q.values - C.Q_prev.values
-    return objective_h(C.P, C.Q, X) + 0.5 * beta_star * float(np.sum(drift * drift))
 
 
 def sign_select(M: np.ndarray, P_prev: np.ndarray) -> np.ndarray:

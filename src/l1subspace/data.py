@@ -10,6 +10,7 @@ generators, so each artifact is a pure function of its parameters.
 from __future__ import annotations
 
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -164,12 +165,27 @@ def _read(source, binary: bool = False):
 
 
 def _write(payload, dest) -> None:
-    """Write str (as ASCII) or bytes to a file-like object or a path."""
+    """Write str (as ASCII) or bytes to a file-like object or a path.
+
+    A path is written atomically: the bytes go to a temporary file in the
+    same directory, which then replaces the target, so a reader never sees a
+    partial file.  The temporary file is created with mode 0o666 less the
+    umask, the mode ``open()`` gives a new file.
+    """
     if hasattr(dest, "write"):
         dest.write(payload)
         return
-    with open(dest, "wb") as fh:
-        fh.write(payload.encode("ascii") if isinstance(payload, str) else payload)
+    blob = payload.encode("ascii") if isinstance(payload, str) else payload
+    directory = os.path.dirname(os.path.abspath(os.fsdecode(dest)))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, dest)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 import hashlib
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -141,6 +143,22 @@ class TestConfigHandling:
                        "--data", small_csv) == 2
         assert "cannot read config file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,resolved", [("theory = yes", "theory = true"),
+                                               ("tev = off", "tev = false")])
+    def test_boolean_config_values(self, tmp_path, small_csv, line, resolved):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"k = 2\nbeta_star = 1\nbeta_sup = 1e9\nmax_iters = 20\n{line}\n")
+        out = tmp_path / "out"
+        assert run_cli("solve", "--config", cfg, "--out", out, "--data", small_csv) == 0
+        assert resolved in (out / "config.txt").read_text()
+
+    def test_non_boolean_config_value_is_config_error(self, tmp_path, small_csv, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 2\nbeta_star = 1\nbeta_sup = 1e9\ntheory = maybe\n")
+        assert run_cli("solve", "--config", cfg, "--out", tmp_path / "o",
+                       "--data", small_csv) == 2
+        assert "not a boolean: 'maybe'" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # synth
@@ -275,6 +293,36 @@ class TestSolve:
 
     def test_k_larger_than_d_is_config_error(self, tmp_path, small_csv):
         assert run_cli(*solve_args(tmp_path / "o", small_csv, k=50)) == 2
+
+    def test_more_components_than_samples_is_config_error(self, tmp_path, capsys):
+        # d >= K > n: a K-column start exists, but K exceeds min(d, n)
+        data = tmp_path / "wide.csv"
+        write_csv_matrix(np.random.default_rng(4).standard_normal((10, 3)), data)
+        assert run_cli(*solve_args(tmp_path / "o", data, k=5)) == 2
+        err = capsys.readouterr().err
+        assert "solver rejected the setup" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norms_are_null_and_fail_check(self, tmp_path, capsys):
+        # the objective is finite at this scale, but ||X||_F and the
+        # criticality residual overflow: the report stores null, not the
+        # non-JSON Infinity, and inf <= inf is no pass
+        data = tmp_path / "big.csv"
+        write_csv_matrix(np.random.default_rng(0).standard_normal((5, 20)) * 1e200, data)
+        out = tmp_path / "run"
+        assert run_cli("solve", "--out", out, "--data", data, "--k", 2, "--beta", 5) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["results"]["criticality"] is None
+        capsys.readouterr()
+        assert run_cli("check", "--run", out) == 5
+        printed = capsys.readouterr().out
+        assert "criticality: PASS" not in printed
+        assert "criticality: FAIL" in printed
 
     def test_failed_factorization_is_solver_error(self, tmp_path, small_csv,
                                                   monkeypatch, capsys):
@@ -616,6 +664,36 @@ class TestCheck:
         (out / "trace.csv").write_text(trace[: len(trace) // 2].rsplit(",", 1)[0])
         assert run_cli("check", "--run", out) == 3
 
+    @pytest.mark.parametrize("damage,message", [
+        ("header", "trace file must start with header"),
+        ("field", "trace row 1: bad numeric field"),
+        ("k", "trace row 1: non-consecutive iteration 5"),
+        ("empty", "trace file holds no iterations"),
+        ("missing", "cannot read trace"),
+    ])
+    def test_malformed_trace_on_theory_run(self, tmp_path, small_csv, damage, message,
+                                           capsys):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--out", out, "--data", small_csv, "--k", 2,
+                       "--beta-star", 1.0, "--beta-sup", 1e9, "--theory",
+                       "--max-iters", 20, "--seed", 2) == 0
+        path = out / "trace.csv"
+        lines = path.read_text().splitlines()
+        if damage == "header":
+            lines[0] = lines[0].replace("phi", "psi")
+        elif damage == "field":
+            lines[2] = lines[2].replace(",", ",x", 1)
+        elif damage == "k":
+            lines[2] = "5" + lines[2][1:]
+        elif damage == "empty":
+            lines = lines[:1]
+        if damage == "missing":
+            path.unlink()
+        else:
+            path.write_text("\n".join(lines) + "\n")
+        assert run_cli("check", "--run", out) == 3
+        assert message in capsys.readouterr().err
+
     def test_theory_run_without_beta_sup_is_corrupt(self, tmp_path, small_csv, capsys):
         out = tmp_path / "run"
         assert run_cli("solve", "--out", out, "--data", small_csv, "--k", 2,
@@ -699,3 +777,31 @@ class TestCheck:
         del report["results"]["final_objective"]
         path.write_text(json.dumps(report))
         assert run_cli("check", "--run", finished_run) == 3
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+@pytest.fixture()
+def umask_022():
+    previous = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(previous)
+
+
+def test_outputs_get_the_mode_open_gives(tmp_path, umask_022):
+    # every file is created as open() would create it, 0o666 less the umask
+    syn = tmp_path / "syn"
+    assert run_cli("synth", "--out", syn, "--d", 8, "--n", 20, "--k", 2,
+                   "--sigma", 0.3, "--seed", 1) == 0
+    run = tmp_path / "run"
+    assert run_cli(*solve_args(run, syn / "X.csv")) == 0
+    library = tmp_path / "library.csv"
+    write_csv_matrix(np.eye(2), library)
+    written = sorted(syn.iterdir()) + sorted(run.iterdir()) + [library]
+    assert len(written) == 10
+    modes = [(path.name, oct(stat.S_IMODE(path.stat().st_mode))) for path in written]
+    assert modes == [(path.name, "0o644") for path in written]

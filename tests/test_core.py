@@ -5,13 +5,11 @@ from l1subspace.core import (
     AdaptiveBeta,
     DataMatrix,
     FixedBeta,
-    IterateTriple,
     SignMatrix,
     SolverConfig,
     StiefelPoint,
     objective_h,
     objective_l,
-    potential_phi,
     sign_select,
 )
 from l1subspace.errors import (
@@ -184,53 +182,6 @@ def test_objective_h_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# potential_phi
-
-
-def test_potential_reduces_to_h_when_stationary():
-    rng = np.random.default_rng(13)
-    X = DataMatrix(rng.standard_normal((3, 5)))
-    Q = random_stiefel(3, 2, rng)
-    P = SignMatrix(np.ones((5, 3)))
-    C = IterateTriple(P, Q, Q)
-    assert potential_phi(C, 7.5, X) == objective_h(P, Q, X)
-
-
-def test_potential_fixture_value():
-    # h = -5 and ||Q - Q_prev||_F = 1 with beta_star = 4 gives -3
-    X = DataMatrix([[5.0], [0.0]])
-    Q = StiefelPoint([[1.0], [0.0]])
-    Q_prev = StiefelPoint([[0.5], [np.sqrt(3.0) / 2.0]])
-    P = SignMatrix([[1.0, 1.0]])
-    C = IterateTriple(P, Q, Q_prev)
-    assert objective_h(P, Q, X) == pytest.approx(-5.0, abs=1e-12)
-    drift = np.linalg.norm(Q.values - Q_prev.values)
-    assert drift == pytest.approx(1.0, abs=1e-12)
-    assert potential_phi(C, 4.0, X) == pytest.approx(-3.0, abs=1e-12)
-
-
-def test_potential_affine_in_beta():
-    rng = np.random.default_rng(17)
-    X = DataMatrix(rng.standard_normal((4, 4)))
-    Q = random_stiefel(4, 2, rng)
-    Q_prev = random_stiefel(4, 2, rng)
-    P = SignMatrix(np.where(rng.standard_normal((4, 4)) >= 0, 1.0, -1.0))
-    C = IterateTriple(P, Q, Q_prev)
-    p1 = potential_phi(C, 1.0, X)
-    p2 = potential_phi(C, 2.0, X)
-    p3 = potential_phi(C, 3.0, X)
-    assert p3 - p2 == pytest.approx(p2 - p1, rel=1e-10)
-
-
-def test_potential_rejects_nonpositive_beta():
-    X = DataMatrix(np.eye(2))
-    Q = StiefelPoint([[1.0], [0.0]])
-    C = IterateTriple(SignMatrix(np.ones((2, 2))), Q, Q)
-    with pytest.raises(DomainError):
-        potential_phi(C, 0.0, X)
-
-
-# ---------------------------------------------------------------------------
 # sign_select
 
 
@@ -302,16 +253,6 @@ def test_stiefel_rejects_wide():
         StiefelPoint(np.eye(3)[:2])
 
 
-def test_iterate_triple_shape_checks():
-    Q = StiefelPoint([[1.0], [0.0]])
-    Q3 = StiefelPoint([[1.0], [0.0], [0.0]])
-    P = SignMatrix(np.ones((4, 2)))
-    with pytest.raises(ShapeError):
-        IterateTriple(P, Q, Q3)
-    with pytest.raises(ShapeError):
-        IterateTriple(SignMatrix(np.ones((4, 3))), Q, Q)
-
-
 # ---------------------------------------------------------------------------
 # configs
 
@@ -333,3 +274,17 @@ def test_config_validation():
     cfg = SolverConfig(alpha=1e-6, beta_mode=AdaptiveBeta(1.0, 100.0), theory_mode=True)
     assert cfg.beta_star == 1.0
     assert SolverConfig(alpha=1.0, beta_mode=FixedBeta(2.5)).beta_star == 2.5
+
+
+# ---------------------------------------------------------------------------
+# public surface
+
+
+def test_every_exported_name_resolves():
+    import l1subspace
+
+    for name in l1subspace.__all__:
+        assert getattr(l1subspace, name) is not None
+    namespace = {}
+    exec("from l1subspace import *", namespace)
+    assert set(l1subspace.__all__) <= set(namespace)

@@ -584,6 +584,22 @@ class TestCsvMatrix:
             read_csv_matrix(io.StringIO(""))
 
 
+    def test_failed_replace_keeps_old_file_and_leaves_no_temporary(self, tmp_path,
+                                                                   monkeypatch):
+        path = tmp_path / "m.csv"
+        write_csv_matrix(np.eye(2), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise PermissionError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError, match="replace refused"):
+            write_csv_matrix(np.ones((3, 3)), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
+
 # ---------------------------------------------------------------------------
 # parser properties: exact round trips, and only ParseError on bad input
 

@@ -554,3 +554,17 @@ def test_theory_mode_gamma_is_capped():
     assert rep.trace.gamma_star <= 1.0
     # the run must still behave like a descent method near the cap
     assert rep.trace.phi[-1] <= rep.trace.phi[0]
+
+
+@pytest.mark.parametrize("cfg", [practical_config(max_iters=60, tol=1e-12),
+                                 theory_config(max_iters=60, tol=1e-12)],
+                         ids=["practical", "theory"])
+def test_recorded_phi_is_h_plus_drift_penalty(cfg):
+    # Phi(C_k) = h(P_k, Q_k) + (beta_star / 2) ||Q_k - Q_{k-1}||_F^2, in the
+    # order solve evaluates it, so the equality is exact
+    rng = np.random.default_rng(37)
+    rep = solve(random_centered(10, 40, rng), cfg, random_stiefel(10, 2, 8))
+    trace, beta_star = rep.trace, cfg.beta_star
+    assert trace.phi[0] == trace.h[0]
+    for k in range(1, len(trace.phi)):
+        assert trace.phi[k] == trace.h[k] + 0.5 * beta_star * trace.dQ[k] * trace.dQ[k]
