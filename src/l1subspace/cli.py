@@ -3,8 +3,10 @@
 Subcommands: synth | solve | bench | cluster | reconstruct | check.  Every
 run reads an optional flat ``key = value`` config file, applies flag
 overrides, writes the fully resolved config next to its outputs, and emits
-machine-readable artifacts (CSV traces, JSON reports).  Outputs are written
-atomically through the writer of :mod:`l1subspace.data`.  Identical config
+machine-readable artifacts (CSV traces, JSON reports).  :func:`main`
+resolves the options and creates the output directory once, then hands
+both to the command's handler.  Every file, input or output, goes through
+the reader or the atomic writer of :mod:`l1subspace.data`.  Identical config
 and seed give byte-identical traces and reports, except for the timing
 section of each report, on one BLAS/LAPACK build run with a fixed thread
 count; other thread counts can change the last digits.
@@ -30,6 +32,7 @@ import numpy as np
 from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, objective_l
 from .data import (
     GrayImage,
+    _read,
     _write,
     center_features,
     corrupt_image,
@@ -60,6 +63,7 @@ from .solvers import (
     RunTrace,
     check_alpha_condition,
     criticality_residual,
+    gamma_star,
     sign_mismatch,
     solve,
     sufficient_decrease_check,
@@ -165,8 +169,7 @@ _OPTS = {
 def read_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` lines; blank lines and # comments are ignored."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read(path, binary=True).decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_CONFIG, f"cannot read config file: {exc}") from None
     values: dict[str, str] = {}
@@ -184,7 +187,9 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def resolve_options(command: str, args: argparse.Namespace) -> dict:
-    """Merge defaults, config-file values, and flag overrides for a command."""
+    """Merge defaults, config-file values, and flag overrides for a command,
+    then check the ranges no later step checks: a seed numpy accepts and an
+    energy threshold in (0, 1]."""
     table = _OPTS[command]
     known = {key for key, _, _ in table}
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
@@ -207,6 +212,10 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
             raise CliError(EXIT_CONFIG, f"missing required setting: {key}")
         else:
             resolved[key] = default
+    if resolved.get("seed", 0) < 0:
+        raise CliError(EXIT_CONFIG, f"seed must be a nonnegative integer, got {resolved['seed']}")
+    if not 0.0 < resolved.get("threshold", 1.0) <= 1.0:
+        raise CliError(EXIT_CONFIG, f"threshold must lie in (0, 1], got {resolved['threshold']!r}")
     return resolved
 
 
@@ -368,24 +377,19 @@ def _write_report(out: str, command: str, resolved: dict, results: dict, timing:
 
 
 def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+    return hashlib.sha256(_read(path, binary=True)).hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # synth
 
 
-def cmd_synth(args) -> int:
-    resolved = resolve_options("synth", args)
-    out = _ensure_out_dir(args.out)
+def cmd_synth(resolved: dict, out: str) -> None:
     try:
         X, truth = gen_synthetic(
             resolved["d"], resolved["n"], resolved["k"], resolved["sigma"], resolved["seed"]
         )
-    except DomainError as exc:
+    except (DomainError, NumericError) as exc:
         raise CliError(EXIT_CONFIG, f"invalid synthetic settings: {exc}") from None
     x_path = os.path.join(out, "X.csv")
     q_path = os.path.join(out, "Q_true.csv")
@@ -407,16 +411,13 @@ def cmd_synth(args) -> int:
     _write_json(os.path.join(out, "manifest.json"), manifest)
     write_resolved_config(out, resolved)
     print(f"wrote {x_path} ({resolved['d']} x {resolved['n']}), Q_true, manifest")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # solve
 
 
-def cmd_solve(args) -> int:
-    resolved = resolve_options("solve", args)
-    out = _ensure_out_dir(args.out)
+def cmd_solve(resolved: dict, out: str) -> None:
     config = build_solver_config(resolved)
     X = load_feature_matrix(resolved)
     report = _run_solver(X, config, resolved["k"], resolved["seed"])
@@ -451,7 +452,6 @@ def cmd_solve(args) -> int:
         f"stop={report.stop_reason} iters={report.iterations} "
         f"objective={report.final_objective:.6e} criticality={report.criticality:.3e}"
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +466,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def cmd_bench(args) -> int:
-    resolved = resolve_options("bench", args)
-    out = _ensure_out_dir(args.out)
+def cmd_bench(resolved: dict, out: str) -> None:
     variants = [v.strip() for v in resolved["variants"].split(",") if v.strip()]
     if not variants:
         raise CliError(EXIT_CONFIG, "no solver variants configured")
@@ -486,7 +484,7 @@ def cmd_bench(args) -> int:
             X, _ = gen_synthetic(
                 resolved["d"], resolved["n"], resolved["k"], resolved["sigma"], data_seed
             )
-        except DomainError as exc:
+        except (DomainError, NumericError) as exc:
             raise CliError(EXIT_CONFIG, f"invalid synthetic settings: {exc}") from None
         baseline = l2_baseline_energy(X, resolved["k"])
         for variant in variants:
@@ -550,16 +548,13 @@ def cmd_bench(args) -> int:
     print("\n".join(summary))
     if all(row["status"] == "error" for row in rows):
         raise CliError(EXIT_SOLVER, "all benchmark runs failed")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # cluster
 
 
-def cmd_cluster(args) -> int:
-    resolved = resolve_options("cluster", args)
-    out = _ensure_out_dir(args.out)
+def cmd_cluster(resolved: dict, out: str) -> None:
     if resolved["k"] is not None and resolved["k"] < 2:
         raise CliError(EXIT_CONFIG, "k must be at least 2")
     if resolved["reps"] < 1:
@@ -612,7 +607,6 @@ def cmd_cluster(args) -> int:
         f"K={K} ({k_rule}) clusters={n_clusters} "
         f"mean accuracy {float(np.mean(accuracies)):.4f} over {resolved['reps']} reps"
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +633,7 @@ def _load_corrupted_dir(path: str) -> list[GrayImage]:
     return images
 
 
-def cmd_reconstruct(args) -> int:
-    resolved = resolve_options("reconstruct", args)
-    out = _ensure_out_dir(args.out)
+def cmd_reconstruct(resolved: dict, out: str) -> None:
     if resolved["image"] is None and resolved["corrupted"] is None:
         raise CliError(EXIT_CONFIG, "give a clean image, a corrupted directory, or both")
     if all(resolved[key] is None for key in ("beta", "beta_star", "beta_sup")):
@@ -709,7 +701,6 @@ def cmd_reconstruct(args) -> int:
         print(f"mean rmse {float(np.mean(rmse)):.4f} over 9 images")
     else:
         print("reconstructed 9 images (no clean reference, rmse skipped)")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +710,7 @@ def cmd_reconstruct(args) -> int:
 def _load_report(run_dir: str) -> dict:
     path = os.path.join(run_dir, "report.json")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(_read(path, binary=True).decode("utf-8"))
     except OSError as exc:
         raise CliError(EXIT_DATA, f"cannot read report: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -752,8 +742,7 @@ def _agrees(stored: float, recomputed: float) -> bool:
     return abs(recomputed - stored) <= 1e-8 * (1.0 + abs(stored))
 
 
-def cmd_check(args) -> int:
-    resolved = resolve_options("check", args)
+def cmd_check(resolved: dict, out: None) -> None:
     run_dir = resolved["run"]
     payload = _load_report(run_dir)
     stored_config = payload["config"]
@@ -833,18 +822,27 @@ def cmd_check(args) -> int:
     if not _agrees(stored_objective, objective):
         consistent = False
         detail += f"; final_objective stored {stored_objective:.9e}, recomputed {objective:.9e}"
+    if config.theory_mode:
+        # the audit's kappa1 rests on gamma*, so it comes from X, not the report
+        gs = gamma_star(config.alpha, config.beta_star, X)
+        stored_gs = _stored_number(results, "gamma_star")
+        # relative alone: gamma* can be 1e-9, where _agrees's 1e-8 floor passes 0
+        if stored_gs is None or not math.isclose(stored_gs, gs, rel_tol=1e-8):
+            consistent = False
+            shown = "null" if stored_gs is None else f"{stored_gs:.9e}"
+            detail += f"; gamma_star stored {shown}, recomputed {gs:.9e}"
     checks.append(("report consistency", consistent, detail))
 
     if config.theory_mode:
         try:
-            with open(os.path.join(run_dir, "trace.csv"), "r", encoding="utf-8") as fh:
-                trace = parse_trace_csv(fh.read())
+            text = _read(os.path.join(run_dir, "trace.csv"), binary=True).decode("utf-8")
         except OSError as exc:
             raise CliError(EXIT_DATA, f"cannot read trace: {exc}") from None
         except UnicodeDecodeError as exc:
             raise CliError(EXIT_DATA, f"corrupt trace: {exc}") from None
-        trace.gamma_star = _stored_number(results, "gamma_star")
-        audit = sufficient_decrease_check(trace, config, X=X)
+        trace = parse_trace_csv(text)
+        trace.gamma_star = gs
+        audit = sufficient_decrease_check(trace, config)
         checks.append(
             (
                 "sufficient decrease",
@@ -861,7 +859,6 @@ def cmd_check(args) -> int:
         failed = failed or not passed
     if failed:
         raise CliError(EXIT_CHECK, "one or more checks failed")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -916,13 +913,16 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        resolved = resolve_options(args.command, args)
+        out = None if args.command == "check" else _ensure_out_dir(args.out)
+        _HANDLERS[args.command](resolved, out)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

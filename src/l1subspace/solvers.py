@@ -312,15 +312,14 @@ def solve(
     X: DataMatrix,
     config: SolverConfig,
     init_Q: StiefelPoint,
-    init_P: SignMatrix | None = None,
     *,
     snapshots: bool = True,
 ) -> RunReport:
-    """Run the alternating scheme from (init_P, init_Q) until the triple step
+    """Run the alternating scheme from Q0 = init_Q until the triple step
     drops below config.tol or config.max_iters sweeps have run.
 
-    X must be centered.  When init_P is omitted it starts from
-    sign(X^T Q0 Q0^T) with ties broken to +1.  Identical inputs produce
+    X must be centered.  The first sign block is P0 = sign(X^T Q0 Q0^T), with
+    ties broken to +1.  Identical inputs produce
     identical reports on one BLAS/LAPACK build run with a fixed thread count;
     other thread counts can change the last digits.  The only
     nondeterministic field is wall time.
@@ -344,14 +343,7 @@ def solve(
     # X^T Q of the current and the previous Q, carried between sweeps
     XtQ = Xv.T @ Q
     XtQ_prev = XtQ
-    if init_P is None:
-        P = sign_select(XtQ @ Q.T, np.ones((X.n, X.d)))
-    else:
-        if init_P.values.shape != (X.n, X.d):
-            raise ShapeError(
-                f"init_P must be {X.n} x {X.d}, got {init_P.values.shape}"
-            )
-        P = init_P.values
+    P = sign_select(XtQ @ Q.T, np.ones((X.n, X.d)))
 
     gamma = float(config.gamma)
     trace = RunTrace()
@@ -435,7 +427,8 @@ def sufficient_decrease_check(
 
     gamma_star comes from the trace when present, otherwise it is recomputed
     from X.  Returns the violating iteration indices under both readings of
-    the constant.
+    the constant.  The audit fails closed: a step whose inequality cannot be
+    evaluated, because Phi or the step gap is NaN, counts as a violation.
     """
     if not config.theory_mode:
         raise DomainError("the decrease guarantee only covers theory-mode runs")
@@ -453,9 +446,10 @@ def sufficient_decrease_check(
         lhs = trace.phi[k] - trace.phi[k - 1]
         slack = 1e-9 * (1.0 + abs(trace.phi[k - 1]))
         g2 = trace.gap[k] * trace.gap[k]
-        if lhs > -kappa1 * g2 + slack:
+        # written as "not <=" so that a NaN comparison counts as a violation
+        if not lhs <= -kappa1 * g2 + slack:
             violations.append(k)
-        if lhs > -kappa1_weak * g2 + slack:
+        if not lhs <= -kappa1_weak * g2 + slack:
             violations_weak.append(k)
     return DecreaseReport(
         kappa1=kappa1,

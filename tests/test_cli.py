@@ -160,6 +160,46 @@ class TestConfigHandling:
         assert "not a boolean: 'maybe'" in capsys.readouterr().err
 
 
+def _seeded_argv(command, tmp_path, small_csv, blobs_libsvm):
+    """A valid invocation of a seeded command, writing under tmp_path."""
+    out = ["--out", tmp_path / "o"]
+    if command == "synth":
+        return ["synth", *out, "--d", 6, "--n", 12, "--k", 2, "--sigma", 0.5]
+    if command == "solve":
+        return ["solve", *out, "--data", small_csv, "--k", 2, "--beta", 20]
+    if command == "bench":
+        return ["bench", *out, "--d", 6, "--n", 12, "--k", 2, "--sigma", 0.5,
+                "--reps", 1, "--beta", 20]
+    if command == "cluster":
+        return ["cluster", *out, "--libsvm", blobs_libsvm, "--reps", 1, "--beta", 20]
+    image = tmp_path / "clean.pgm"
+    write_pgm(_structured_image(np.random.default_rng(0)), image)
+    return ["reconstruct", *out, "--image", image]
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize("command", ["synth", "solve", "bench", "cluster", "reconstruct"])
+    def test_negative_seed_is_config_error(self, tmp_path, small_csv, blobs_libsvm, command,
+                                           capsys):
+        argv = _seeded_argv(command, tmp_path, small_csv, blobs_libsvm)
+        assert run_cli(*argv, "--seed", -1) == 2
+        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+
+    def test_negative_seed_in_config_file_is_config_error(self, tmp_path, small_csv, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        argv = _seeded_argv("solve", tmp_path, small_csv, None)
+        assert run_cli(*argv, "--config", cfg) == 2
+        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", [0, 1.5, "nan"])
+    def test_threshold_outside_unit_interval_is_config_error(self, tmp_path, blobs_libsvm,
+                                                            threshold, capsys):
+        argv = _seeded_argv("cluster", tmp_path, None, blobs_libsvm)
+        assert run_cli(*argv, "--threshold", threshold) == 2
+        assert "threshold must lie in (0, 1]" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -196,6 +236,11 @@ class TestSynth:
     def test_bad_parameters_are_config_errors(self, tmp_path):
         assert run_cli("synth", "--out", tmp_path / "s", "--d", 4, "--n", 10,
                        "--k", 9, "--sigma", 0.5) == 2
+
+    def test_overflowing_noise_is_config_error(self, tmp_path, capsys):
+        assert run_cli("synth", "--out", tmp_path / "s", "--d", 3, "--n", 4,
+                       "--k", 2, "--sigma", 1e308) == 2
+        assert "invalid synthetic settings" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +475,11 @@ class TestBench:
             assert rows[1].split(",")[5] == str(sweeps)
         assert peaks[1] < peaks[0] + 2 * 2**20
 
+    def test_overflowing_noise_is_config_error(self, tmp_path, capsys):
+        assert run_cli("bench", "--out", tmp_path / "b", "--d", 3, "--n", 4,
+                       "--k", 2, "--sigma", 1e308, "--beta", 20) == 2
+        assert "invalid synthetic settings" in capsys.readouterr().err
+
     def test_unknown_variant_is_config_error(self, tmp_path):
         assert run_cli("bench", "--out", tmp_path / "b", "--d", 10, "--n", 30,
                        "--k", 2, "--sigma", 0.5, "--beta", 20,
@@ -587,6 +637,19 @@ def finished_run(tmp_path, small_csv):
     return out
 
 
+@pytest.fixture()
+def theory_run(tmp_path):
+    # a theory-mode run that stops on tolerance after 42 sweeps, gamma* about 2.6e-9
+    data = tmp_path / "d"
+    assert run_cli("synth", "--out", data, "--d", 10, "--n", 40, "--k", 2,
+                   "--sigma", 0.5, "--seed", 1) == 0
+    out = tmp_path / "r"
+    assert run_cli("solve", "--out", out, "--data", data / "X.csv", "--k", 2, "--theory",
+                   "--beta-star", 1, "--beta-sup", 1e9, "--tol", 1e-8, "--seed", 1) == 0
+    assert json.loads((out / "report.json").read_text())["results"]["iterations"] == 42
+    return out
+
+
 class TestCheck:
     def test_finished_run_passes(self, finished_run, capsys):
         assert run_cli("check", "--run", finished_run) == 0
@@ -654,6 +717,54 @@ class TestCheck:
         printed = capsys.readouterr().out
         assert "at 1 nonzero entries, all at or below alpha" in printed
         assert "the alpha condition fails" in printed
+
+    def test_unevaluable_decrease_audit_fails(self, theory_run, capsys):
+        # blank steps make every comparison with NaN False; the audit must
+        # not read that as 42 steps without a violation
+        lines = (theory_run / "trace.csv").read_text().splitlines()
+        for k in range(1, len(lines) - 1):
+            fields = lines[k + 1].split(",")
+            fields[1] = repr(float(fields[1]) + 1000.0 * k)
+            fields[3:6] = ["", "", ""]
+            lines[k + 1] = ",".join(fields)
+        (theory_run / "trace.csv").write_text("\n".join(lines) + "\n")
+        assert run_cli("check", "--run", theory_run) == 5
+        assert "sufficient decrease: FAIL (42 violations over 42 steps)" in (
+            capsys.readouterr().out
+        )
+
+    def test_gamma_star_is_recomputed_not_trusted(self, theory_run, capsys):
+        lines = (theory_run / "trace.csv").read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[1] = lines[2].split(",")[1]  # Phi of k = 2 equal to k = 1
+        lines[3] = ",".join(fields)
+        (theory_run / "trace.csv").write_text("\n".join(lines) + "\n")
+        assert run_cli("check", "--run", theory_run) == 5
+        assert "sufficient decrease: FAIL (1 violations" in capsys.readouterr().out
+        # gamma* = 1 makes kappa1 = alpha (1 - gamma*) / 2 zero, which would
+        # hide the violation if check took gamma* from the report
+        path = theory_run / "report.json"
+        report = json.loads(path.read_text())
+        report["results"]["gamma_star"] = 1.0
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", theory_run) == 5
+        printed = capsys.readouterr().out
+        assert "report consistency: FAIL" in printed
+        assert "gamma_star stored 1.000000000e+00, recomputed" in printed
+        assert "sufficient decrease: FAIL (1 violations" in printed
+
+    @pytest.mark.parametrize("stored,shown", [(None, "null"), (0.0, "0.000000000e+00")])
+    def test_missing_gamma_star_on_theory_run_fails_consistency(self, theory_run, stored,
+                                                                 shown, capsys):
+        # gamma* here is about 2.6e-9, so 0 is far from it in relative terms
+        path = theory_run / "report.json"
+        report = json.loads(path.read_text())
+        report["results"]["gamma_star"] = stored
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", theory_run) == 5
+        printed = capsys.readouterr().out
+        assert f"gamma_star stored {shown}, recomputed" in printed
+        assert "sufficient decrease: PASS" in printed
 
     def test_truncated_trace_on_theory_run(self, tmp_path, small_csv):
         out = tmp_path / "run"

@@ -317,9 +317,10 @@ def test_solve_rejects_bad_init_shapes():
     X = random_centered(4, 8, rng)
     with pytest.raises(ShapeError):
         solve(X, practical_config(), random_stiefel(5, 2, 0))
-    with pytest.raises(ShapeError):
+    # the start is Q0 alone: P0 = sign(X^T Q0 Q0^T) is not a parameter
+    with pytest.raises(TypeError):
         solve(X, practical_config(), random_stiefel(4, 2, 0),
-              SignMatrix(np.ones((7, 4))))
+              SignMatrix(np.ones((8, 4))))
 
 
 def test_solve_k_cannot_exceed_n():
@@ -471,14 +472,14 @@ def test_solve_q_snapshots_are_read_only():
 
 
 def test_solve_restart_from_converged_point_stays_put():
-    # a converged run restarted at its own output must stop in one sweep
+    # a converged run restarted at its own final Q must stop in one sweep
     rng = np.random.default_rng(5)
     Q_true = random_stiefel(12, 2, 99)
     X = centered(Q_true.values @ rng.standard_normal((2, 30)))
     tight = practical_config(tol=1e-12, max_iters=20000)
     first = solve(X, tight, random_stiefel(12, 2, 0))
     assert first.stop_reason == "tolerance"
-    again = solve(X, practical_config(max_iters=50), first.final_Q, first.final_P)
+    again = solve(X, practical_config(max_iters=50), first.final_Q)
     assert again.iterations == 1
     assert again.stop_reason == "tolerance"
     assert np.allclose(again.final_Q.values, first.final_Q.values, atol=1e-9)
@@ -535,6 +536,21 @@ def test_sufficient_decrease_check_flags_doctored_trace():
     rep.trace.phi[3] = rep.trace.phi[2] + 1.0  # inject an increase
     out = sufficient_decrease_check(rep.trace, cfg)
     assert 3 in out.violations or 4 in out.violations
+
+
+def test_sufficient_decrease_check_fails_closed_on_nan_gap():
+    # every comparison with NaN is False, so a step whose gap is NaN must be
+    # counted as a violation explicitly, under both readings of kappa1
+    rng = np.random.default_rng(23)
+    X = random_centered(8, 24, rng)
+    cfg = theory_config(max_iters=30)
+    rep = solve(X, cfg, random_stiefel(8, 2, 5))
+    assert sufficient_decrease_check(rep.trace, cfg).violations == ()
+    rep.trace.gap[3] = float("nan")
+    rep.trace.phi[3] = rep.trace.phi[2] + 1.0
+    out = sufficient_decrease_check(rep.trace, cfg)
+    assert out.violations == (3,)
+    assert out.violations_weak == (3,)
 
 
 def test_sufficient_decrease_check_requires_theory_mode():
