@@ -201,8 +201,13 @@ def objective_l(Q: StiefelPoint, X: DataMatrix) -> float:
     """Projection objective l(Q) = -|| Q Q^T X ||_1 (entrywise L1 norm)."""
     if Q.d != X.d:
         raise ShapeError(f"Q has {Q.d} rows but X has {X.d} rows")
-    B = Q.values.T @ X.values
-    return -float(np.abs(Q.values @ B).sum())
+    return _objective_l(Q.values, X.values)
+
+
+def _objective_l(Q: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> float:
+    """-||Q (Q^T X)||_1 from plain arrays; the d x n product goes to ``out`` if given."""
+    M = np.matmul(Q, Q.T @ X, out=out)
+    return -float(np.abs(M, out=M).sum())
 
 
 def objective_h(P: SignMatrix, Q: StiefelPoint, X: DataMatrix) -> float:

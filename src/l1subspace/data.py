@@ -131,11 +131,14 @@ def gen_synthetic(
     Q_true = StiefelPoint(polar_factor(rng.standard_normal((d, k))))
     S = rng.standard_normal((k, n))
     X = Q_true.values @ S
-    if sigma > 0.0:
-        u = rng.random((d, n))
-        u = np.where(u == 0.0, 0.5, u)  # the open-interval guard
-        X = X + _laplace_from_uniform(sigma / math.sqrt(2.0), u)
-    X = X - X.mean(axis=1, keepdims=True)
+    # noise that overflows (sigma near 1e308) is reported once, as
+    # DataMatrix's NumericError, not also as numpy warnings on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sigma > 0.0:
+            u = rng.random((d, n))
+            u = np.where(u == 0.0, 0.5, u)  # the open-interval guard
+            X = X + _laplace_from_uniform(sigma / math.sqrt(2.0), u)
+        X = X - X.mean(axis=1, keepdims=True)
     return DataMatrix(X, centered=True), SyntheticTruth(Q_true, float(sigma), seed)
 
 

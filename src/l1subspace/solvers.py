@@ -12,6 +12,19 @@ gamma Q' Q'^T, which is [X^T Q, X^T Q'] [(1+gamma) Q^T; -gamma Q'^T]; the
 Q step needs S Q for S = XP + (XP)^T, which is X (P Q) + P^T (X^T Q).
 ``solve`` carries X^T Q from one sweep to the next, so a sweep of a d x n
 problem costs O(ndK) time and O(nd) memory and never forms a d x d matrix.
+
+``solve`` allocates its n x d arrays once per run: the sign block P and a
+product buffer T, plus the n x 2K and 2K x d factors of X^T E; every
+product is written into them with ``np.matmul(..., out=)``.  The sign step
+is screened and in place.  Since P is +/-1, P_ij can only turn where
+(X^T E)_ij P_ij < 0, so after one exact pass T *= P, a min and a max for
+the finiteness check, and one compare, only those entries are divided by
+alpha and possibly flipped, and the flip count for the trace is the
+number that turned.  A sweep thus runs six products that touch n x d data
+(X^T E into T, three that read P and two that read X) and four elementwise
+passes over T (the product with P, min, max, compare), and allocates
+nothing of size n x d.  The closing checks form X^T Q Q^T once, in T.
+
 Theory mode's adaptive beta needs ||XP||_2 as well.  With the thin SVD
 X = U Sigma V^T, taken once per run, that is ||(Sigma V^T) P||_2, the norm
 of an r x d matrix with r = min(d, n): O(r n d) a sweep.
@@ -37,15 +50,16 @@ from .core import (
     SignMatrix,
     SolverConfig,
     StiefelPoint,
+    _objective_l,
     _positive_finite,
     h_from_factors,
-    objective_l,
     sign_select,
 )
 from .errors import (
     DomainError,
     FeasibilityError,
     InfeasibleBoundError,
+    NumericError,
     SelectionError,
     ShapeError,
 )
@@ -135,27 +149,60 @@ def extrapolate(Q: StiefelPoint, Q_prev: StiefelPoint, gamma: float) -> np.ndarr
 
 
 def _xt_extrapolated(
-    XtQ: np.ndarray, XtQ_prev: np.ndarray, Q: np.ndarray, Q_prev: np.ndarray, gamma: float
+    XtQ: np.ndarray,
+    XtQ_prev: np.ndarray,
+    Q: np.ndarray,
+    Q_prev: np.ndarray,
+    gamma: float,
+    F: np.ndarray | None = None,
+    W: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """X^T E for E = extrapolate(Q, Q_prev, gamma), as one n x 2K by 2K x d product."""
-    if gamma == 0.0:
-        return XtQ @ Q.T
-    return np.hstack([XtQ, XtQ_prev]) @ np.vstack([(1.0 + gamma) * Q.T, -gamma * Q_prev.T])
+    """X^T E for E = extrapolate(Q, Q_prev, gamma), as one n x 2K by 2K x d product.
 
-
-def _sign_step(P: np.ndarray, XtE: np.ndarray, alpha: float) -> np.ndarray:
-    """Sign step from the n x d product X^T E, however E was represented.
-
-    XtE is overwritten; callers pass a freshly computed product.
+    The factors are F = [X^T Q, X^T Q'] and W = [(1+gamma) Q^T; -gamma Q'^T].
+    ``solve`` passes its workspace: F, whose two halves are XtQ and
+    XtQ_prev, the 2K x d buffer W and the n x d output ``out``; then nothing
+    is allocated.  Without them the factors and the product are new arrays.
     """
-    # built in XtE's own storage: on n >> d data the page faults of every
-    # extra n x d temporary cost more than the arithmetic of the sign step.
-    # The sign itself goes to a new array: numpy's np.sign(M, out=M) runs
-    # several times slower than writing to separate storage.
-    M = XtE
-    M /= alpha
-    M += P
-    return sign_select(M, P)
+    if gamma == 0.0:
+        return np.matmul(XtQ, Q.T, out=out)
+    k = Q.shape[1]
+    if F is None:
+        F = np.hstack([XtQ, XtQ_prev])
+    if W is None:
+        W = np.empty((2 * k, Q.shape[0]))
+    np.multiply(Q.T, 1.0 + gamma, out=W[:k])
+    np.multiply(Q_prev.T, -gamma, out=W[k:])
+    return np.matmul(F, W, out=out)
+
+
+def _sign_step(P: np.ndarray, T: np.ndarray, alpha: float) -> int:
+    """Screened proximal sign step P <- sign(P + T / alpha), ties keeping P.
+
+    P is updated in place through a flat view, so it must be C-contiguous;
+    T, the n x d product X^T E, is overwritten with T * P.  Returns the
+    number of flipped signs.  Raises NumericError when P + T / alpha has a
+    non-finite entry.
+    """
+    # P is +/-1, so T * P is exact and fl(P + fl(T / alpha)) equals
+    # P fl(1 + fl(T P / alpha)): the sign turns exactly where
+    # fl(T P / alpha) < -1 and is kept, ties included, everywhere else.
+    # Only entries with T P < 0 can turn; near a fixed point they are few,
+    # so the division and the compare run on them alone.
+    T *= P
+    # fl(t / alpha) is monotone in t, and P + fl(t / alpha) overflows only if
+    # fl(t / alpha) does, so the two extremes decide finiteness; a NaN
+    # entry makes both extremes NaN
+    lo, hi = float(T.min()), float(T.max())
+    if not (math.isfinite(lo / alpha) and math.isfinite(hi / alpha)):
+        raise NumericError("sign_select input has non-finite entries")
+    TP = T.reshape(-1)
+    candidates = np.flatnonzero(TP < 0.0)
+    flips = candidates[TP[candidates] / alpha < -1.0]
+    Pf = P.reshape(-1)
+    Pf[flips] = -Pf[flips]
+    return flips.size
 
 
 def _s_times(X: np.ndarray, P: np.ndarray, Q: np.ndarray, XtQ: np.ndarray) -> np.ndarray:
@@ -182,7 +229,9 @@ def update_P(P: SignMatrix, X: DataMatrix, E: np.ndarray, alpha: float) -> SignM
         raise ShapeError(f"E must be {X.d} x {X.d}, got {E.shape}")
     if P.values.shape != (X.n, X.d):
         raise ShapeError(f"P must be {X.n} x {X.d}, got {P.values.shape}")
-    return SignMatrix(_sign_step(P.values, X.values.T @ E, alpha))
+    P_next = P.values.copy()
+    _sign_step(P_next, X.values.T @ E, alpha)
+    return SignMatrix(P_next)
 
 
 def update_Q(Q: StiefelPoint, P_next: SignMatrix, X: DataMatrix, beta: float) -> StiefelPoint:
@@ -246,6 +295,35 @@ def adaptive_beta(X: DataMatrix, P: SignMatrix, beta_star: float, beta_sup: floa
     return _beta(_data_factor(X.values)[1], P.values, beta_star, beta_sup)
 
 
+def _agreement(XtQ: np.ndarray, Q: np.ndarray, P: np.ndarray, out=None) -> np.ndarray:
+    """(X^T Q Q^T) * P entrywise, from the n x K product X^T Q.
+
+    P is +/-1, so each entry keeps its magnitude exactly and is negative
+    exactly where P has the opposite sign.
+    """
+    TP = np.matmul(XtQ, Q.T, out=out)
+    TP *= P
+    return TP
+
+
+def _disagreements(TP: np.ndarray) -> np.ndarray:
+    """Magnitudes at the entries where TP = (X^T Q Q^T) * P is below -ZERO_TOL."""
+    return -TP[TP < -ZERO_TOL]
+
+
+def _alpha_holds(mags: np.ndarray, alpha_star: float) -> bool:
+    """alpha_star below the smallest entry of mags = |X^T Q Q^T| above ZERO_TOL."""
+    return alpha_star < float(np.min(mags, where=mags > ZERO_TOL, initial=math.inf))
+
+
+def _residual(X: np.ndarray, P: np.ndarray, Q: np.ndarray, XtQ: np.ndarray) -> float:
+    """||G - Q sym(Q^T G)||_F for G = -S Q, from the n x K product X^T Q."""
+    G = -_s_times(X, P, Q, XtQ)
+    QtG = Q.T @ G
+    R = G - Q @ ((QtG + QtG.T) / 2.0)
+    return float(np.linalg.norm(R))
+
+
 def sign_mismatch(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> np.ndarray:
     """Magnitudes of X^T Q Q^T at the entries where P has the opposite sign.
 
@@ -257,9 +335,7 @@ def sign_mismatch(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> np.ndarray:
             f"inconsistent shapes: X is {X.d} x {X.n}, Q is {Q.d} x {Q.k}, "
             f"P is {P.values.shape}"
         )
-    T = (X.values.T @ Q.values) @ Q.values.T
-    mags = np.abs(T)
-    return mags[(mags > ZERO_TOL) & (np.sign(T) != P.values)]
+    return _disagreements(_agreement(X.values.T @ Q.values, Q.values, P.values))
 
 
 def criticality_residual(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> float:
@@ -275,11 +351,7 @@ def criticality_residual(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> float
         raise SelectionError(
             f"P disagrees with sign(X^T Q Q^T) at {bad} nonzero entries"
         )
-    XtQ = X.values.T @ Q.values
-    G = -_s_times(X.values, P.values, Q.values, XtQ)
-    QtG = Q.values.T @ G
-    R = G - Q.values @ ((QtG + QtG.T) / 2.0)
-    return float(np.linalg.norm(R))
+    return _residual(X.values, P.values, Q.values, X.values.T @ Q.values)
 
 
 def check_alpha_condition(X: DataMatrix, Q: StiefelPoint, alpha_star: float) -> bool:
@@ -289,11 +361,7 @@ def check_alpha_condition(X: DataMatrix, Q: StiefelPoint, alpha_star: float) -> 
     if Q.d != X.d:
         raise ShapeError(f"Q has {Q.d} rows but X has {X.d} rows")
     T = (X.values.T @ Q.values) @ Q.values.T
-    mags = np.abs(T)
-    nz = mags > ZERO_TOL
-    if not nz.any():
-        return True
-    return alpha_star < float(mags[nz].min())
+    return _alpha_holds(np.abs(T, out=T), alpha_star)
 
 
 def _record(trace, snapshots, k, phi, h, dP, dQ, gap, Q):
@@ -339,11 +407,20 @@ def solve(
     t0 = time.perf_counter()
 
     Xv = X.values
+    n, d, K = X.n, X.d, init_Q.k
     Q = Q_prev = init_Q.values
-    # X^T Q of the current and the previous Q, carried between sweeps
-    XtQ = Xv.T @ Q
-    XtQ_prev = XtQ
-    P = sign_select(XtQ @ Q.T, np.ones((X.n, X.d)))
+    # the run's workspace, filled in place every sweep: T holds the n x d
+    # product X^T E, F and W its n x 2K and 2K x d factors (see
+    # _xt_extrapolated), and F's halves carry X^T Q and X^T Q' between sweeps
+    T = np.empty((n, d))
+    F = np.empty((n, 2 * K))
+    W = np.empty((2 * K, d))
+    XtQ, XtQ_prev = F[:, :K], F[:, K:]
+    np.matmul(Xv.T, Q, out=XtQ)
+    XtQ_prev[...] = XtQ
+    # P, the sign block, is the only other n x d array; the sign step
+    # updates it in place
+    P = sign_select(np.matmul(XtQ, Q.T, out=T), np.ones((n, d)))
 
     gamma = float(config.gamma)
     trace = RunTrace()
@@ -368,22 +445,23 @@ def solve(
     stop_reason = "max_iters"
     final_gap = math.nan
     for k in range(1, config.max_iters + 1):
-        XtE = _xt_extrapolated(XtQ, XtQ_prev, Q, Q_prev, gamma)
-        P_next = _sign_step(P, XtE, config.alpha)
+        _xt_extrapolated(XtQ, XtQ_prev, Q, Q_prev, gamma, F, W, out=T)
+        flips = _sign_step(P, T, config.alpha)
         if adaptive:
-            beta_next = _beta(SVt, P_next, bm.beta_star, bm.beta_sup)
+            beta_next = _beta(SVt, P, bm.beta_star, bm.beta_sup)
             beta_k = max(beta_P, beta_next)
             beta_P = beta_next
         else:
             beta_k = bm.value
-        Q_next = _q_step(Q, _s_times(Xv, P_next, Q, XtQ), beta_k)
-        XtQ_prev, XtQ = XtQ, Xv.T @ Q_next
+        Q_next = _q_step(Q, _s_times(Xv, P, Q, XtQ), beta_k)
+        XtQ_prev[...] = XtQ
+        np.matmul(Xv.T, Q_next, out=XtQ)
 
         # entries are +/-1, so each flipped sign adds 4 to ||P_next - P||^2
-        dP = 2.0 * math.sqrt(np.count_nonzero(P_next != P))
+        dP = 2.0 * math.sqrt(flips)
         dQ = float(np.linalg.norm(Q_next - Q))
         gap = math.sqrt(dP * dP + dQ * dQ + dQ_prev * dQ_prev)
-        P, Q, Q_prev = P_next, Q_next, Q
+        Q, Q_prev = Q_next, Q
         iterations = k
 
         hk = h_from_factors(P, Q, XtQ)
@@ -397,21 +475,23 @@ def solve(
         dQ_prev = dQ
         final_gap = gap
 
-    # release the last sweep's n x d arrays before the validating copy of P
-    # and the closing checks, which allocate n x d arrays of their own
-    del XtE, P_next
-    P, Q = SignMatrix(P), StiefelPoint(Q)
-    try:
-        crit = criticality_residual(Q, P, X)
-    except SelectionError:
-        crit = math.nan
+    # the closing checks share one X^T Q Q^T, formed in T from the carried
+    # X^T Q: the sign agreement reads its signs, the alpha test its
+    # magnitudes, and the objective reuses T's storage for Q (Q^T X)
+    TP = _agreement(XtQ, Q, P, out=T)
+    stale = _disagreements(TP).size
+    alpha_holds = _alpha_holds(np.abs(TP, out=TP), config.alpha)
+    objective = _objective_l(Q, Xv, out=T.reshape(d, n))
+    crit = math.nan if stale else _residual(Xv, P, Q, XtQ)
+    # release the product buffer before the validating copy of P
+    del T, TP
     return RunReport(
-        final_P=P,
-        final_Q=Q,
-        final_objective=objective_l(Q, X),
+        final_P=SignMatrix(P),
+        final_Q=StiefelPoint(Q),
+        final_objective=objective,
         trace=trace,
         criticality=crit,
-        alpha_condition_holds=check_alpha_condition(X, Q, config.alpha),
+        alpha_condition_holds=alpha_holds,
         stop_reason=stop_reason,
         iterations=iterations,
         wall_time=time.perf_counter() - t0,

@@ -4,11 +4,15 @@ import json
 import hashlib
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import l1subspace
 from l1subspace import (
     DataMatrix,
     GrayImage,
@@ -241,6 +245,19 @@ class TestSynth:
         assert run_cli("synth", "--out", tmp_path / "s", "--d", 3, "--n", 4,
                        "--k", 2, "--sigma", 1e308) == 2
         assert "invalid synthetic settings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "bench --beta 20"])
+    def test_overflowing_noise_prints_no_warning(self, tmp_path, command):
+        # run as a program, so stderr shows what a user sees: the exit-2 line
+        # alone, without numpy RuntimeWarnings before it
+        src = str(Path(l1subspace.__file__).parents[1])
+        argv = [sys.executable, "-m", "l1subspace.cli", *command.split(), "--out",
+                str(tmp_path / "o"), "--d", "3", "--n", "4", "--k", "2", "--sigma", "1e308"]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2, done.stderr
+        assert "invalid synthetic settings" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
 
 # ---------------------------------------------------------------------------

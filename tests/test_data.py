@@ -39,7 +39,7 @@ from l1subspace.data import (
     image_columns,
     _rescale_to_range,
 )
-from l1subspace.errors import DomainError, ParseError, ShapeError
+from l1subspace.errors import DomainError, NumericError, ParseError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +140,14 @@ class TestGenSynthetic:
             gen_synthetic(4, 10, 2, -0.1, seed=0)
         with pytest.raises(DomainError):
             gen_synthetic(0, 10, 2, 0.1, seed=0)
+
+    def test_overflowing_noise_raises_without_warnings(self):
+        # the overflow is reported once, as DataMatrix's NumericError, not
+        # also as numpy RuntimeWarnings from the noise and the centering
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite"):
+                gen_synthetic(3, 4, 2, 1e308, 0)
 
 
 class TestCenterFeatures:

@@ -4,21 +4,26 @@
 S Q, the objective h and the criticality residual from X^T Q and friends,
 and the adaptive beta from the factor Sigma V^T of X = U Sigma V^T.
 Each test below draws a small problem and compares the factored value with
-the dense formula to 1e-10 relative.
+the dense formula to 1e-10 relative.  The screened sign step, which
+divides only the entries that can flip, must equal the dense step bit for
+bit.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1subspace.core import DataMatrix, SignMatrix, StiefelPoint, objective_h, sign_select
+from l1subspace.errors import NumericError
 from l1subspace.linalg import polar_factor, spectral_norm
 from l1subspace.solvers import (
     _beta,
     _data_factor,
     _s_times,
+    _sign_step,
     _xt_extrapolated,
     criticality_residual,
     extrapolate,
@@ -102,3 +107,55 @@ def test_factored_beta_matches_dense_norm(problem, dropped):
     assert_close(sigma1, spectral_norm(values))
     want = 1.5 * 2.0 + 2.0 * spectral_norm(values @ P.values)
     assert_close(_beta(SVt, P.values, 2.0, math.inf), want)
+
+
+@st.composite
+def sign_steps(draw):
+    """A sign block P, a product T and alpha in [1e-300, 1e300].  T mixes
+    entries near the flip threshold -alpha P, exact ties T = -alpha P, ties
+    one ulp off, signed zeros, subnormals and huge values; sometimes one
+    entry is NaN, infinite, or so large that T / alpha overflows."""
+    n = draw(st.integers(1, 9))
+    d = draw(st.integers(1, 9))
+    poison = draw(st.sampled_from([None, None, None, "nan", "inf", "-inf", "overflow"]))
+    if poison == "overflow":
+        alpha = 10.0 ** draw(st.floats(-300.0, -1.0))
+    else:
+        alpha = 10.0 ** draw(st.floats(-300.0, 300.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = np.where(rng.random((n, d)) < 0.5, -1.0, 1.0)
+    tie = -alpha * P
+    kinds = [
+        rng.standard_normal((n, d)) * alpha * 10.0 ** rng.uniform(-3, 3, (n, d)),
+        tie,
+        np.nextafter(tie, np.inf),
+        np.nextafter(tie, -np.inf),
+        np.where(rng.random((n, d)) < 0.5, -0.0, 0.0),
+        rng.choice([-1.0, 1.0], (n, d)) * rng.integers(1, 2**52, (n, d)) * 5e-324,
+        rng.choice([-1.0, 1.0], (n, d)) * 10.0 ** rng.uniform(-300, 307, (n, d)),
+    ]
+    pick = rng.integers(0, len(kinds), (n, d))
+    T = np.choose(pick, kinds)
+    if poison is not None:
+        bad = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "overflow": -1.7e308}[poison]
+        T[rng.integers(n), rng.integers(d)] = bad
+    return P, T, alpha
+
+
+@settings(max_examples=400, deadline=None)
+@given(sign_steps())
+def test_screened_sign_step_matches_dense_sign_step(case):
+    P, T, alpha = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = sign_select(P + T / alpha, P)
+        except NumericError:
+            want = None
+    got = P.copy()
+    if want is None:
+        with pytest.raises(NumericError, match="non-finite"):
+            _sign_step(got, T.copy(), alpha)
+        return
+    flips = _sign_step(got, T.copy(), alpha)
+    assert got.tobytes() == want.tobytes()
+    assert flips == np.count_nonzero(want != P)

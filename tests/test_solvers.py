@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from l1subspace.core import (
     SignMatrix,
     SolverConfig,
     StiefelPoint,
+    h_from_factors,
     objective_h,
     sign_select,
 )
@@ -25,6 +27,12 @@ from l1subspace.errors import (
 )
 from l1subspace.linalg import random_stiefel, spectral_norm
 from l1subspace.solvers import (
+    ZERO_TOL,
+    _beta,
+    _data_factor,
+    _gamma_cap,
+    _q_step,
+    _s_times,
     adaptive_beta,
     check_alpha_condition,
     criticality_residual,
@@ -584,3 +592,140 @@ def test_recorded_phi_is_h_plus_drift_penalty(cfg):
     assert trace.phi[0] == trace.h[0]
     for k in range(1, len(trace.phi)):
         assert trace.phi[k] == trace.h[k] + 0.5 * beta_star * trace.dQ[k] * trace.dQ[k]
+
+
+# ---------------------------------------------------------------------------
+# solve against the dense per-sweep loop it replaced
+
+
+def _reference_solve(X, config, init_Q):
+    """The sweep before the workspace: a fresh n x d X^T E from hstack and
+    vstack factors, the dense sign step sign_select(P + X^T E / alpha, P),
+    a P_next != P flip count, and closing checks that each form X^T Q Q^T.
+    Returns every field of the report but wall time."""
+    Xv = X.values
+    Q = Q_prev = init_Q.values
+    XtQ = Xv.T @ Q
+    XtQ_prev = XtQ
+    P = sign_select(XtQ @ Q.T, np.ones((X.n, X.d)))
+    gamma = float(config.gamma)
+    trace = solvers.RunTrace()
+    bm = config.beta_mode
+    adaptive = isinstance(bm, AdaptiveBeta)
+    if adaptive:
+        sigma1, SVt = _data_factor(Xv)
+        beta_P = _beta(SVt, P, bm.beta_star, bm.beta_sup)
+    if config.theory_mode:
+        gs = _gamma_cap(config.alpha, bm.beta_star, sigma1)
+        gamma = max(0.0, min(gamma, gs - solvers.GAMMA_MARGIN))
+        trace.gamma_star = gs
+    iterations = 0
+    h0 = h_from_factors(P, Q, XtQ)
+    solvers._record(trace, True, 0, h0, h0, math.nan, math.nan, math.nan, Q)
+    dQ_prev = 0.0
+    stop_reason = "max_iters"
+    final_gap = math.nan
+    for k in range(1, config.max_iters + 1):
+        if gamma == 0.0:
+            XtE = XtQ @ Q.T
+        else:
+            XtE = np.hstack([XtQ, XtQ_prev]) @ np.vstack(
+                [(1.0 + gamma) * Q.T, -gamma * Q_prev.T])
+        P_next = sign_select(P + XtE / config.alpha, P)
+        if adaptive:
+            beta_next = _beta(SVt, P_next, bm.beta_star, bm.beta_sup)
+            beta_k = max(beta_P, beta_next)
+            beta_P = beta_next
+        else:
+            beta_k = bm.value
+        Q_next = _q_step(Q, _s_times(Xv, P_next, Q, XtQ), beta_k)
+        XtQ_prev, XtQ = XtQ, Xv.T @ Q_next
+        dP = 2.0 * math.sqrt(np.count_nonzero(P_next != P))
+        dQ = float(np.linalg.norm(Q_next - Q))
+        gap = math.sqrt(dP * dP + dQ * dQ + dQ_prev * dQ_prev)
+        P, Q, Q_prev = P_next, Q_next, Q
+        iterations = k
+        hk = h_from_factors(P, Q, XtQ)
+        solvers._record(trace, True, k, hk + 0.5 * config.beta_star * dQ * dQ,
+                        hk, dP, dQ, gap, Q)
+        final_gap = gap
+        if gap < config.tol:
+            stop_reason = "tolerance"
+            break
+        dQ_prev = dQ
+
+    T = (Xv.T @ Q) @ Q.T
+    mags = np.abs(T)
+    if np.any((mags > ZERO_TOL) & (np.sign(T) != P)):
+        crit = math.nan
+    else:
+        G = -_s_times(Xv, P, Q, Xv.T @ Q)
+        QtG = Q.T @ G
+        crit = float(np.linalg.norm(G - Q @ ((QtG + QtG.T) / 2.0)))
+    nz = mags > ZERO_TOL
+    holds = (not nz.any()) or config.alpha < float(mags[nz].min())
+    objective = -float(np.abs(Q @ (Q.T @ Xv)).sum())
+    return dict(P=P, Q=Q, objective=objective, trace=trace, criticality=crit,
+                alpha_holds=holds, stop_reason=stop_reason, iterations=iterations,
+                final_gap=final_gap)
+
+
+def _integer_data_with_zero_samples(d, n, rng):
+    # columns A, -A and zeros: integer entries, exactly zero row means, and
+    # zero rows in X^T Q Q^T, where every sign is a tie
+    half = (n - 2) // 2
+    A = rng.integers(-3, 4, size=(d, half)).astype(float)
+    return DataMatrix(np.hstack([A, -A, np.zeros((d, n - 2 * half))]), centered=True)
+
+
+def _same(a, b):
+    return np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("theory", [False, True], ids=["practical", "theory"])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("shape,data", [((6, 300), "normal"), ((300, 6), "normal"),
+                                        ((7, 40), "integer"), ((40, 12), "integer")],
+                         ids=["n>>d", "d>>n", "int-wide", "int-tall"])
+def test_solve_matches_dense_reference_bit_for_bit(shape, data, gamma, theory):
+    d, n = shape
+    rng = np.random.default_rng(d * 1000 + n)
+    X = (random_centered(d, n, rng) if data == "normal"
+         else _integer_data_with_zero_samples(d, n, rng))
+    cfg = (theory_config(gamma=gamma, max_iters=40, tol=1e-9) if theory
+           else practical_config(alpha=1e-3, gamma=gamma, max_iters=40, tol=1e-9))
+    Q0 = random_stiefel(d, 2, 5)
+    rep = solve(X, cfg, Q0)
+    want = _reference_solve(X, cfg, Q0)
+    for name in ("phi", "h", "dP", "dQ", "gap"):
+        assert _same(getattr(rep.trace, name), getattr(want["trace"], name)), name
+    assert rep.trace.snapshot_iters == want["trace"].snapshot_iters
+    for got_Q, want_Q in zip(rep.trace.q_snapshots, want["trace"].q_snapshots):
+        assert np.array_equal(got_Q, want_Q)
+    assert rep.trace.gamma_star == want["trace"].gamma_star
+    assert np.array_equal(rep.final_P.values, want["P"])
+    assert np.array_equal(rep.final_Q.values, want["Q"])
+    assert _same(rep.criticality, want["criticality"])
+    assert rep.alpha_condition_holds is want["alpha_holds"]
+    assert rep.final_objective == want["objective"]
+    assert rep.stop_reason == want["stop_reason"]
+    assert rep.iterations == want["iterations"]
+    assert _same(rep.final_gap, want["final_gap"])
+
+
+def test_wide_solve_peaks_below_four_sign_blocks():
+    # one n x d float array is 1.28 MB at n = 4000, d = 40; the run keeps
+    # two (P and the product buffer T) and the first sign selection briefly
+    # a third, where fresh arrays every sweep peaked above four
+    X = random_centered(40, 4000, np.random.default_rng(38))
+    cfg = practical_config(max_iters=30, tol=1e-300)
+    Q0 = random_stiefel(40, 3, 1)
+    tracemalloc.start()
+    try:
+        rep = solve(X, cfg, Q0, snapshots=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == 30
+    assert peak < 4 * 4000 * 40 * 8
