@@ -225,12 +225,15 @@ def objective_h(P: SignMatrix, Q: StiefelPoint, X: DataMatrix) -> float:
     return h_from_factors(P.values, Q.values, X.values.T @ Q.values)
 
 
-def h_from_factors(P: np.ndarray, Q: np.ndarray, XtQ: np.ndarray) -> float:
+def h_from_factors(
+    P: np.ndarray, Q: np.ndarray, XtQ: np.ndarray, out: np.ndarray | None = None
+) -> float:
     """h(P, Q) = -<P Q, X^T Q> from plain arrays, given the n x K product X^T Q.
 
-    This equals -<P, X^T Q Q^T> without forming that n x d matrix.
+    This equals -<P, X^T Q Q^T> without forming that n x d matrix.  The
+    n x K product P Q goes to ``out`` if given, where a caller can reuse it.
     """
-    return -float(np.vdot(P @ Q, XtQ))
+    return -float(np.vdot(np.matmul(P, Q, out=out), XtQ))
 
 
 def sign_select(M: np.ndarray, P_prev: np.ndarray) -> np.ndarray:

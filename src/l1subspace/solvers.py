@@ -14,20 +14,31 @@ Q step needs S Q for S = XP + (XP)^T, which is X (P Q) + P^T (X^T Q).
 problem costs O(ndK) time and O(nd) memory and never forms a d x d matrix.
 
 ``solve`` allocates its n x d arrays once per run: the sign block P and a
-product buffer T, plus the n x 2K and 2K x d factors of X^T E; every
-product is written into them with ``np.matmul(..., out=)``.  The sign step
-is screened and in place.  Since P is +/-1, P_ij can only turn where
-(X^T E)_ij P_ij < 0, so after one exact pass T *= P, a min and a max for
-the finiteness check, and one compare, only those entries are divided by
-alpha and possibly flipped, and the flip count for the trace is the
-number that turned.  A sweep thus runs six products that touch n x d data
-(X^T E into T, three that read P and two that read X) and four elementwise
-passes over T (the product with P, min, max, compare), and allocates
-nothing of size n x d.  The closing checks form X^T Q Q^T once, in T.
+product buffer T, plus the n x 2K and 2K x d factors of X^T E and the
+n x K product P Q; every product is written into them with
+``np.matmul(..., out=)``.  The sign step is screened and in place.  Since P
+is +/-1, P_ij can only turn where (X^T E)_ij P_ij < 0, so after one exact
+pass T *= P and a min and a max for the finiteness check, the sign step
+stops at once when even the smallest entry of T * P / alpha is at least -1;
+otherwise one compare picks the entries that can turn, only those are
+divided by alpha and possibly flipped, and the flip count for the trace is
+the number that turned.  A sweep runs at most six products that touch
+n x d data (X^T E into T, three that read P and two that read X) and at
+most four elementwise passes over T (the product with P, min, max,
+compare), and allocates nothing of size n x d.  The closing checks form
+X^T Q Q^T once, in T.
+
+A sweep that flips no sign leaves P bit for bit as it was, so everything
+that depends on P alone is reused rather than recomputed: the sign step
+skips its compare, gather and scatter, the Q step reads the P Q that the
+previous sweep's objective formed at the same P and Q, and theory mode
+keeps its beta.  The closing criticality residual likewise reuses the last
+P Q.
 
 Theory mode's adaptive beta needs ||XP||_2 as well.  With the thin SVD
 X = U Sigma V^T, taken once per run, that is ||(Sigma V^T) P||_2, the norm
-of an r x d matrix with r = min(d, n): O(r n d) a sweep.
+of an r x d matrix with r = min(d, n): O(r n d), evaluated once per sweep
+that flips a sign.
 
 Two parameter regimes are supported.  The practical regime takes a fixed
 Q-step parameter beta and any gamma in [0, 1].  The theory regime derives
@@ -53,7 +64,6 @@ from .core import (
     _objective_l,
     _positive_finite,
     h_from_factors,
-    sign_select,
 )
 from .errors import (
     DomainError,
@@ -183,7 +193,8 @@ def _sign_step(P: np.ndarray, T: np.ndarray, alpha: float) -> int:
     P is updated in place through a flat view, so it must be C-contiguous;
     T, the n x d product X^T E, is overwritten with T * P.  Returns the
     number of flipped signs.  Raises NumericError when P + T / alpha has a
-    non-finite entry.
+    non-finite entry.  When no entry can turn, P and the flip count are
+    settled after the finiteness check and nothing more is read.
     """
     # P is +/-1, so T * P is exact and fl(P + fl(T / alpha)) equals
     # P fl(1 + fl(T P / alpha)): the sign turns exactly where
@@ -197,6 +208,9 @@ def _sign_step(P: np.ndarray, T: np.ndarray, alpha: float) -> int:
     lo, hi = float(T.min()), float(T.max())
     if not (math.isfinite(lo / alpha) and math.isfinite(hi / alpha)):
         raise NumericError("sign_select input has non-finite entries")
+    # by the same monotonicity no entry turns when the smallest one does not
+    if lo / alpha >= -1.0:
+        return 0
     TP = T.reshape(-1)
     candidates = np.flatnonzero(TP < 0.0)
     flips = candidates[TP[candidates] / alpha < -1.0]
@@ -205,9 +219,20 @@ def _sign_step(P: np.ndarray, T: np.ndarray, alpha: float) -> int:
     return flips.size
 
 
-def _s_times(X: np.ndarray, P: np.ndarray, Q: np.ndarray, XtQ: np.ndarray) -> np.ndarray:
-    """S Q for S = XP + (XP)^T, evaluated as X (P Q) + P^T (X^T Q)."""
-    return X @ (P @ Q) + P.T @ XtQ
+def _s_times(
+    X: np.ndarray,
+    P: np.ndarray,
+    Q: np.ndarray,
+    XtQ: np.ndarray,
+    PQ: np.ndarray | None = None,
+) -> np.ndarray:
+    """S Q for S = XP + (XP)^T, evaluated as X (P Q) + P^T (X^T Q).
+
+    ``PQ``, when given, must hold the n x K product P Q; it is formed otherwise.
+    """
+    if PQ is None:
+        PQ = P @ Q
+    return X @ PQ + P.T @ XtQ
 
 
 def _q_step(Q: np.ndarray, SQ: np.ndarray, beta: float) -> np.ndarray:
@@ -281,7 +306,8 @@ def gamma_star(alpha_star: float, beta_star: float, X: DataMatrix) -> float:
     """Extrapolation cap gamma* = min(1, alpha_star beta_star / (8 ||X||^2))."""
     _positive_finite("alpha_star", alpha_star)
     _positive_finite("beta_star", beta_star)
-    return _gamma_cap(alpha_star, beta_star, _data_factor(X.values)[0])
+    sigma1 = float(_svd(X.values, "data factorization", compute_uv=False)[0])
+    return _gamma_cap(alpha_star, beta_star, sigma1)
 
 
 def adaptive_beta(X: DataMatrix, P: SignMatrix, beta_star: float, beta_sup: float) -> float:
@@ -316,9 +342,16 @@ def _alpha_holds(mags: np.ndarray, alpha_star: float) -> bool:
     return alpha_star < float(np.min(mags, where=mags > ZERO_TOL, initial=math.inf))
 
 
-def _residual(X: np.ndarray, P: np.ndarray, Q: np.ndarray, XtQ: np.ndarray) -> float:
-    """||G - Q sym(Q^T G)||_F for G = -S Q, from the n x K product X^T Q."""
-    G = -_s_times(X, P, Q, XtQ)
+def _residual(
+    X: np.ndarray,
+    P: np.ndarray,
+    Q: np.ndarray,
+    XtQ: np.ndarray,
+    PQ: np.ndarray | None = None,
+) -> float:
+    """||G - Q sym(Q^T G)||_F for G = -S Q, from the n x K products X^T Q
+    and, when given, P Q."""
+    G = -_s_times(X, P, Q, XtQ, PQ)
     QtG = Q.T @ G
     R = G - Q @ ((QtG + QtG.T) / 2.0)
     return float(np.linalg.norm(R))
@@ -411,16 +444,23 @@ def solve(
     Q = Q_prev = init_Q.values
     # the run's workspace, filled in place every sweep: T holds the n x d
     # product X^T E, F and W its n x 2K and 2K x d factors (see
-    # _xt_extrapolated), and F's halves carry X^T Q and X^T Q' between sweeps
+    # _xt_extrapolated), F's halves carry X^T Q and X^T Q' between sweeps,
+    # and PQ carries the P Q of the last objective h
     T = np.empty((n, d))
     F = np.empty((n, 2 * K))
     W = np.empty((2 * K, d))
+    PQ = np.empty((n, K))
     XtQ, XtQ_prev = F[:, :K], F[:, K:]
     np.matmul(Xv.T, Q, out=XtQ)
     XtQ_prev[...] = XtQ
     # P, the sign block, is the only other n x d array; the sign step
-    # updates it in place
-    P = sign_select(np.matmul(XtQ, Q.T, out=T), np.ones((n, d)))
+    # updates it in place.  P0 = sign(X^T Q0 Q0^T) with ties, signed zeros
+    # included, broken to +1; the extremes decide finiteness as in _sign_step
+    np.matmul(XtQ, Q.T, out=T)
+    if not (math.isfinite(float(T.min())) and math.isfinite(float(T.max()))):
+        raise NumericError("sign_select input has non-finite entries")
+    P = np.ones((n, d))
+    P[T < 0.0] = -1.0
 
     gamma = float(config.gamma)
     trace = RunTrace()
@@ -437,7 +477,7 @@ def solve(
         trace.gamma_star = gs
 
     iterations = 0
-    h0 = h_from_factors(P, Q, XtQ)
+    h0 = h_from_factors(P, Q, XtQ, out=PQ)
     _record(trace, snapshots, 0, h0, h0, math.nan, math.nan, math.nan, Q)
 
     beta_star_phi = config.beta_star
@@ -447,13 +487,15 @@ def solve(
     for k in range(1, config.max_iters + 1):
         _xt_extrapolated(XtQ, XtQ_prev, Q, Q_prev, gamma, F, W, out=T)
         flips = _sign_step(P, T, config.alpha)
-        if adaptive:
-            beta_next = _beta(SVt, P, bm.beta_star, bm.beta_sup)
-            beta_k = max(beta_P, beta_next)
-            beta_P = beta_next
-        else:
-            beta_k = bm.value
-        Q_next = _q_step(Q, _s_times(Xv, P, Q, XtQ), beta_k)
+        # a sweep that flips no sign keeps P bit for bit, so beta(P) and the
+        # P Q that the last h formed at this P and Q still hold
+        beta_k = beta_P if adaptive else bm.value
+        if flips:
+            np.matmul(P, Q, out=PQ)
+            if adaptive:
+                beta_P = _beta(SVt, P, bm.beta_star, bm.beta_sup)
+                beta_k = max(beta_k, beta_P)
+        Q_next = _q_step(Q, _s_times(Xv, P, Q, XtQ, PQ), beta_k)
         XtQ_prev[...] = XtQ
         np.matmul(Xv.T, Q_next, out=XtQ)
 
@@ -464,7 +506,7 @@ def solve(
         Q, Q_prev = Q_next, Q
         iterations = k
 
-        hk = h_from_factors(P, Q, XtQ)
+        hk = h_from_factors(P, Q, XtQ, out=PQ)
         phik = hk + 0.5 * beta_star_phi * dQ * dQ
         _record(trace, snapshots, k, phik, hk, dP, dQ, gap, Q)
 
@@ -477,12 +519,13 @@ def solve(
 
     # the closing checks share one X^T Q Q^T, formed in T from the carried
     # X^T Q: the sign agreement reads its signs, the alpha test its
-    # magnitudes, and the objective reuses T's storage for Q (Q^T X)
+    # magnitudes, and the objective reuses T's storage for Q (Q^T X); the
+    # residual reads the final P Q from the last h
     TP = _agreement(XtQ, Q, P, out=T)
     stale = _disagreements(TP).size
     alpha_holds = _alpha_holds(np.abs(TP, out=TP), config.alpha)
     objective = _objective_l(Q, Xv, out=T.reshape(d, n))
-    crit = math.nan if stale else _residual(Xv, P, Q, XtQ)
+    crit = math.nan if stale else _residual(Xv, P, Q, XtQ, PQ)
     # release the product buffer before the validating copy of P
     del T, TP
     return RunReport(

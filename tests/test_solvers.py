@@ -418,9 +418,11 @@ def test_tall_theory_solve_never_forms_a_d_by_d_matrix():
     assert peak < 8 * 2**20
 
 
-def test_theory_solve_takes_one_spectral_norm_per_sweep(monkeypatch):
-    # beta(P) of a sweep is beta(P_next) of the one before, and gamma_star
-    # reads sigma_1 from the same factorization of X: k sweeps, k + 1 norms
+def test_theory_solve_takes_one_spectral_norm_per_flipping_sweep(monkeypatch):
+    # beta(P) of a sweep is beta(P_next) of the one before, a sweep that
+    # flips no sign keeps P and so its beta, and gamma_star reads sigma_1
+    # from the same factorization of X: one norm for P0 and one for each
+    # sweep that flips a sign
     calls = []
 
     def counting_norm(M):
@@ -432,7 +434,9 @@ def test_theory_solve_takes_one_spectral_norm_per_sweep(monkeypatch):
     X = random_centered(9, 30, rng)
     rep = solve(X, theory_config(max_iters=6, tol=1e-300), random_stiefel(9, 2, 1))
     assert rep.iterations == 6
-    assert len(calls) == rep.iterations + 1
+    flipping = sum(dP > 0 for dP in rep.trace.dP[1:])
+    assert 0 < flipping < rep.iterations
+    assert len(calls) == 1 + flipping
 
 
 def test_solve_validates_the_iterate_only_where_it_leaves(monkeypatch):
@@ -698,6 +702,11 @@ def test_solve_matches_dense_reference_bit_for_bit(shape, data, gamma, theory):
     Q0 = random_stiefel(d, 2, 5)
     rep = solve(X, cfg, Q0)
     want = _reference_solve(X, cfg, Q0)
+    # a sweep that flips no sign reuses beta(P) and P Q, and the next one
+    # that flips must form them afresh: each case runs both kinds
+    flipped = [dP > 0 for dP in rep.trace.dP[1:]]
+    assert not all(flipped)
+    assert any(flipped[flipped.index(False):])
     for name in ("phi", "h", "dP", "dQ", "gap"):
         assert _same(getattr(rep.trace, name), getattr(want["trace"], name)), name
     assert rep.trace.snapshot_iters == want["trace"].snapshot_iters
@@ -714,10 +723,10 @@ def test_solve_matches_dense_reference_bit_for_bit(shape, data, gamma, theory):
     assert _same(rep.final_gap, want["final_gap"])
 
 
-def test_wide_solve_peaks_below_four_sign_blocks():
+def test_wide_solve_peaks_below_three_sign_blocks():
     # one n x d float array is 1.28 MB at n = 4000, d = 40; the run keeps
-    # two (P and the product buffer T) and the first sign selection briefly
-    # a third, where fresh arrays every sweep peaked above four
+    # two (P and the product buffer T) and builds P0 in place in P, so a
+    # temporary n x d array anywhere in the run crosses three
     X = random_centered(40, 4000, np.random.default_rng(38))
     cfg = practical_config(max_iters=30, tol=1e-300)
     Q0 = random_stiefel(40, 3, 1)
@@ -728,4 +737,4 @@ def test_wide_solve_peaks_below_four_sign_blocks():
     finally:
         tracemalloc.stop()
     assert rep.iterations == 30
-    assert peak < 4 * 4000 * 40 * 8
+    assert peak < 3 * 4000 * 40 * 8
