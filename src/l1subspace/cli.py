@@ -139,7 +139,6 @@ _OPTS = {
         ("k", int, _REQUIRED),
         ("sigma", float, _REQUIRED),
         ("reps", int, 10),
-        ("variants", str, "palme,palm"),
     ]
     + _SOLVER_OPTS,
     "cluster": [
@@ -467,12 +466,7 @@ def _csv_cell(value) -> str:
 
 
 def cmd_bench(resolved: dict, out: str) -> None:
-    variants = [v.strip() for v in resolved["variants"].split(",") if v.strip()]
-    if not variants:
-        raise CliError(EXIT_CONFIG, "no solver variants configured")
-    for variant in variants:
-        if variant not in ("palme", "palm"):
-            raise CliError(EXIT_CONFIG, f"unknown variant {variant!r} (use palme, palm)")
+    variants = ("palme", "palm")
     if resolved["reps"] < 1:
         raise CliError(EXIT_CONFIG, "reps must be at least 1")
     base_config = build_solver_config(resolved)
@@ -532,17 +526,14 @@ def cmd_bench(resolved: dict, out: str) -> None:
     lines += [",".join(_csv_cell(row[col]) for col in header) for row in table]
     _write(("\n".join(lines) + "\n").encode("utf-8"), os.path.join(out, "bench.csv"))
 
-    if "palme" in variants and "palm" in variants:
-        by_rep = {
-            (row["variant"], row["rep"]): row for row in rows if row["status"] == "ok"
-        }
-        paired = ["rep,data_seed,tev_palme,tev_palm,tev_delta"]
-        for rep in range(resolved["reps"]):
-            a, b = by_rep.get(("palme", rep)), by_rep.get(("palm", rep))
-            if a is not None and b is not None:
-                cells = (rep, a["data_seed"], a["tev"], b["tev"], a["tev"] - b["tev"])
-                paired.append(",".join(_csv_cell(cell) for cell in cells))
-        _write(("\n".join(paired) + "\n").encode("utf-8"), os.path.join(out, "paired.csv"))
+    by_rep = {(row["variant"], row["rep"]): row for row in rows if row["status"] == "ok"}
+    paired = ["rep,data_seed,tev_palme,tev_palm,tev_delta"]
+    for rep in range(resolved["reps"]):
+        a, b = by_rep.get(("palme", rep)), by_rep.get(("palm", rep))
+        if a is not None and b is not None:
+            cells = (rep, a["data_seed"], a["tev"], b["tev"], a["tev"] - b["tev"])
+            paired.append(",".join(_csv_cell(cell) for cell in cells))
+    _write(("\n".join(paired) + "\n").encode("utf-8"), os.path.join(out, "paired.csv"))
 
     write_resolved_config(out, resolved)
     print("\n".join(summary))

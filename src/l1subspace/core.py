@@ -7,9 +7,9 @@ max(t, -t) entrywise turns this into minimizing
     H(P, Q) = -<P, X^T Q Q^T>
 
 jointly over sign matrices P and Stiefel points Q.  This module holds the
-shared value types, the two objectives, and the sign selection rule.
-Heavier linear algebra lives in :mod:`l1subspace.linalg`, the alternating
-scheme in :mod:`l1subspace.solvers`.
+shared value types and the two objectives.  Heavier linear algebra lives
+in :mod:`l1subspace.linalg`, the alternating scheme, sign step included, in
+:mod:`l1subspace.solvers`.
 
 All array-valued types copy their input and freeze it read-only, so instances
 can be shared freely between threads and runs.
@@ -234,20 +234,3 @@ def h_from_factors(
     n x K product P Q goes to ``out`` if given, where a caller can reuse it.
     """
     return -float(np.vdot(np.matmul(P, Q, out=out), XtQ))
-
-
-def sign_select(M: np.ndarray, P_prev: np.ndarray) -> np.ndarray:
-    """Entrywise sign of M, keeping the previous sign where M is zero.
-
-    Both arguments are plain arrays of identical shape; P_prev must already
-    be a valid +/-1 pattern.  Returns a new +/-1 array.
-    """
-    M = np.asarray(M, dtype=float)
-    P_prev = np.asarray(P_prev, dtype=float)
-    if M.shape != P_prev.shape:
-        raise ShapeError(f"shape mismatch: M is {M.shape}, P_prev is {P_prev.shape}")
-    if not np.all(np.isfinite(M)):
-        raise NumericError("sign_select input has non-finite entries")
-    s = np.sign(M)
-    np.copyto(s, P_prev, where=s == 0.0)
-    return s

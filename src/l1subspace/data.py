@@ -18,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import DataMatrix, StiefelPoint, _positive_finite
+from .core import DataMatrix, StiefelPoint
 from .errors import DomainError, NumericError, ParseError, ShapeError
 from .linalg import polar_factor
 
@@ -88,26 +88,10 @@ class GrayImage:
 
 
 def _laplace_from_uniform(b, u):
-    # inverse CDF of the zero-mean Laplace law with scale b
+    # inverse CDF -b sign(u - 1/2) ln(1 - 2|u - 1/2|) of the zero-mean
+    # Laplace law with scale b (variance 2 b^2), for u in (0, 1)
     shifted = u - 0.5
     return -b * np.sign(shifted) * np.log1p(-2.0 * np.abs(shifted))
-
-
-def laplace_sample(b: float, u):
-    """Laplace(0, b) samples from uniform draws u in (0, 1), elementwise.
-
-    Uses the inverse CDF -b sign(u - 1/2) ln(1 - 2|u - 1/2|); variance is
-    2 b^2.  Scalar u gives a float, an array gives an array.
-    """
-    _positive_finite("scale b", b)
-    try:
-        arr = np.asarray(u, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"u must be numeric, got {u!r}") from None
-    if arr.size == 0 or not np.all((arr > 0.0) & (arr < 1.0)):
-        raise DomainError("u must lie strictly inside (0, 1)")
-    out = _laplace_from_uniform(float(b), arr)
-    return float(out) if np.isscalar(u) or arr.ndim == 0 else out
 
 
 def gen_synthetic(
@@ -516,13 +500,6 @@ def image_columns(images: list[GrayImage]) -> np.ndarray:
         if img.pixels.shape != shape:
             raise ShapeError(f"image sizes differ: {img.pixels.shape} vs {shape}")
     return np.column_stack([img.pixels.ravel(order="F") for img in images])
-
-
-def stack_images(images: list[GrayImage]) -> DataMatrix:
-    """Stack 9 equally sized images into a centered (h w) x 9 data matrix."""
-    if len(images) != 9:
-        raise ShapeError(f"expected exactly 9 images, got {len(images)}")
-    return center_features(DataMatrix(image_columns(images)))
 
 
 def unstack_images(values, height: int, width: int) -> list[GrayImage]:

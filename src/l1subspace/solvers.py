@@ -159,29 +159,22 @@ def extrapolate(Q: StiefelPoint, Q_prev: StiefelPoint, gamma: float) -> np.ndarr
 
 
 def _xt_extrapolated(
-    XtQ: np.ndarray,
-    XtQ_prev: np.ndarray,
+    F: np.ndarray,
+    W: np.ndarray,
     Q: np.ndarray,
     Q_prev: np.ndarray,
     gamma: float,
-    F: np.ndarray | None = None,
-    W: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """X^T E for E = extrapolate(Q, Q_prev, gamma), as one n x 2K by 2K x d product.
 
-    The factors are F = [X^T Q, X^T Q'] and W = [(1+gamma) Q^T; -gamma Q'^T].
-    ``solve`` passes its workspace: F, whose two halves are XtQ and
-    XtQ_prev, the 2K x d buffer W and the n x d output ``out``; then nothing
-    is allocated.  Without them the factors and the product are new arrays.
+    F is the n x 2K factor [X^T Q, X^T Q']; the 2K x d buffer W is filled with
+    [(1+gamma) Q^T; -gamma Q'^T] and the n x d product is written to ``out``,
+    so nothing is allocated.  For gamma = 0 the product is X^T Q Q^T alone.
     """
-    if gamma == 0.0:
-        return np.matmul(XtQ, Q.T, out=out)
     k = Q.shape[1]
-    if F is None:
-        F = np.hstack([XtQ, XtQ_prev])
-    if W is None:
-        W = np.empty((2 * k, Q.shape[0]))
+    if gamma == 0.0:
+        return np.matmul(F[:, :k], Q.T, out=out)
     np.multiply(Q.T, 1.0 + gamma, out=W[:k])
     np.multiply(Q_prev.T, -gamma, out=W[k:])
     return np.matmul(F, W, out=out)
@@ -207,7 +200,7 @@ def _sign_step(P: np.ndarray, T: np.ndarray, alpha: float) -> int:
     # entry makes both extremes NaN
     lo, hi = float(T.min()), float(T.max())
     if not (math.isfinite(lo / alpha) and math.isfinite(hi / alpha)):
-        raise NumericError("sign_select input has non-finite entries")
+        raise NumericError("sign step input has non-finite entries")
     # by the same monotonicity no entry turns when the smallest one does not
     if lo / alpha >= -1.0:
         return 0
@@ -458,7 +451,7 @@ def solve(
     # included, broken to +1; the extremes decide finiteness as in _sign_step
     np.matmul(XtQ, Q.T, out=T)
     if not (math.isfinite(float(T.min())) and math.isfinite(float(T.max()))):
-        raise NumericError("sign_select input has non-finite entries")
+        raise NumericError("sign step input has non-finite entries")
     P = np.ones((n, d))
     P[T < 0.0] = -1.0
 
@@ -485,7 +478,7 @@ def solve(
     stop_reason = "max_iters"
     final_gap = math.nan
     for k in range(1, config.max_iters + 1):
-        _xt_extrapolated(XtQ, XtQ_prev, Q, Q_prev, gamma, F, W, out=T)
+        _xt_extrapolated(F, W, Q, Q_prev, gamma, T)
         flips = _sign_step(P, T, config.alpha)
         # a sweep that flips no sign keeps P bit for bit, so beta(P) and the
         # P Q that the last h formed at this P and Q still hold

@@ -29,7 +29,6 @@ from l1subspace import (
     gen_synthetic,
     kmeans,
     l2_baseline_energy,
-    laplace_sample,
     objective_h,
     objective_l,
     parse_libsvm,
@@ -305,11 +304,15 @@ def test_criterion_09_data_layer(tmp_path):
     assert np.array_equal(again.features.values, features)
     assert np.array_equal(again.labels, dataset.labels)
 
-    # inverse-CDF noise hits the requested variance
-    sigma = 1.7
-    u = np.random.default_rng(9).random(10 ** 6)
-    samples = laplace_sample(sigma / np.sqrt(2.0), u)
-    assert float(np.var(samples)) == pytest.approx(sigma ** 2, rel=0.02)
+    # the generator's inverse-CDF noise hits the requested variance: off the
+    # planted subspace only noise is left, with d - k of its d directions
+    # and n - 1 of its n degrees of freedom after centering
+    sigma, d, n, k = 1.7, 1000, 1000, 3
+    X, truth = gen_synthetic(d, n, k, sigma, seed=9)
+    Q = truth.Q_true.values
+    residual = X.values - Q @ (Q.T @ X.values)
+    want = sigma ** 2 * (1.0 - k / d) * (1.0 - 1.0 / n)
+    assert float(np.var(residual)) == pytest.approx(want, rel=0.02)
 
     # image round-trips are lossless in both encodings
     pixels = rng.integers(0, 256, (11, 13)).astype(float)

@@ -65,6 +65,36 @@ def blobs_libsvm(tmp_path_factory):
     return path
 
 
+# a seed or threshold out of range, or synthetic noise that overflows, is a
+# configuration error for every command that takes the setting
+BOUNDARY_CASES = {
+    "synth-seed": ("synth --d 6 --n 12 --k 2 --sigma 0.5 --seed -1", "seed must be"),
+    "solve-seed": ("solve --data {X} --k 2 --beta 20 --seed -1", "seed must be"),
+    "bench-seed": ("bench --d 6 --n 12 --k 2 --sigma 0.5 --reps 1 --beta 20 --seed -1",
+                   "seed must be"),
+    "cluster-seed": ("cluster --libsvm {svm} --beta 20 --seed -1", "seed must be"),
+    "reconstruct-seed": ("reconstruct --image {pgm} --seed -1", "seed must be"),
+    "synth": ("synth --d 3 --n 4 --k 2 --sigma 1e308", "invalid synthetic settings"),
+    "bench --beta 20": ("bench --d 3 --n 4 --k 2 --sigma 1e308 --beta 20",
+                        "invalid synthetic settings"),
+    "cluster-threshold": ("cluster --libsvm {svm} --beta 20 --threshold 0",
+                          "threshold must lie"),
+}
+
+
+@pytest.fixture(scope="module")
+def boundary_inputs(tmp_path_factory):
+    # valid inputs for the boundary cases, so that only the setting is wrong
+    root = tmp_path_factory.mktemp("boundary")
+    assert run_cli("synth", "--out", root / "syn", "--d", 6, "--n", 12, "--k", 2,
+                   "--sigma", 0.5, "--seed", 1) == 0
+    svm = root / "two_class.svm"
+    svm.write_text("1 1:1.0 2:0.5\n1 1:1.1 2:0.4\n-1 1:-1.0 2:0.2\n-1 1:-0.9 2:0.3\n")
+    pgm = root / "clean.pgm"
+    write_pgm(GrayImage(np.arange(576.0).reshape(24, 24) % 256), pgm)
+    return {"X": root / "syn" / "X.csv", "svm": svm, "pgm": pgm}
+
+
 def solve_args(out, data, **overrides):
     options = {"k": 2, "alpha": 1e-6, "beta": 20.0, "seed": 1}
     options.update(overrides)
@@ -246,17 +276,19 @@ class TestSynth:
                        "--k", 2, "--sigma", 1e308) == 2
         assert "invalid synthetic settings" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["synth", "bench --beta 20"])
-    def test_overflowing_noise_prints_no_warning(self, tmp_path, command):
+    @pytest.mark.parametrize("args,message", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES)
+    def test_overflowing_noise_prints_no_warning(self, tmp_path, boundary_inputs, args, message):
         # run as a program, so stderr shows what a user sees: the exit-2 line
-        # alone, without numpy RuntimeWarnings before it
+        # alone, without a traceback or numpy RuntimeWarnings before it
         src = str(Path(l1subspace.__file__).parents[1])
-        argv = [sys.executable, "-m", "l1subspace.cli", *command.split(), "--out",
-                str(tmp_path / "o"), "--d", "3", "--n", "4", "--k", "2", "--sigma", "1e308"]
+        command, *rest = args.format(**boundary_inputs).split()
+        argv = [sys.executable, "-m", "l1subspace.cli", command, "--out", str(tmp_path / "o"),
+                *rest]
         done = subprocess.run(argv, capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 2, done.stderr
-        assert "invalid synthetic settings" in done.stderr
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
         assert "RuntimeWarning" not in done.stderr
 
 
@@ -465,14 +497,6 @@ class TestBench:
                 float(fields[2]) - float(fields[3]), abs=1e-15
             )
 
-    def test_single_variant(self, tmp_path):
-        out = tmp_path / "bench"
-        code = run_cli("bench", "--out", out, "--d", 10, "--n", 30, "--k", 2,
-                       "--sigma", 0.5, "--reps", 2, "--beta", 20,
-                       "--variants", "palme")
-        assert code == 0
-        assert not (out / "paired.csv").exists()
-
     def test_peak_memory_does_not_grow_with_max_iters(self, tmp_path):
         # bench writes no Q snapshot, so it must not keep one per sweep
         # (48 kB each at d = 3000, K = 2: 9 MB over 190 extra sweeps)
@@ -482,8 +506,8 @@ class TestBench:
             tracemalloc.start()
             try:
                 code = run_cli("bench", "--out", out, "--d", 3000, "--n", 6, "--k", 2,
-                               "--sigma", 0.5, "--reps", 1, "--variants", "palme",
-                               "--beta", 20, "--tol", 1e-300, "--max-iters", sweeps)
+                               "--sigma", 0.5, "--reps", 1, "--beta", 20,
+                               "--tol", 1e-300, "--max-iters", sweeps)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -497,10 +521,14 @@ class TestBench:
                        "--k", 2, "--sigma", 1e308, "--beta", 20) == 2
         assert "invalid synthetic settings" in capsys.readouterr().err
 
-    def test_unknown_variant_is_config_error(self, tmp_path):
-        assert run_cli("bench", "--out", tmp_path / "b", "--d", 10, "--n", 30,
-                       "--k", 2, "--sigma", 0.5, "--beta", 20,
-                       "--variants", "sgd") == 2
+    def test_variants_setting_is_config_error(self, tmp_path, capsys):
+        # bench always runs both variants; a config that still picks them
+        # fails instead of being ignored
+        config = tmp_path / "bench.cfg"
+        config.write_text("variants = palme\n")
+        assert run_cli("bench", "--out", tmp_path / "b", "--config", config, "--d", 10,
+                       "--n", 30, "--k", 2, "--sigma", 0.5, "--beta", 20) == 2
+        assert "not recognized by bench: variants" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from l1subspace.core import (
     StiefelPoint,
     objective_h,
     objective_l,
-    sign_select,
 )
 from l1subspace.errors import (
     DomainError,
@@ -18,6 +17,8 @@ from l1subspace.errors import (
     NumericError,
     ShapeError,
 )
+
+from dense_reference import sign_select
 
 
 def random_stiefel(d, k, rng):
@@ -182,7 +183,7 @@ def test_objective_h_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# sign_select
+# sign_select, the dense sign rule the solver tests compare against
 
 
 def test_sign_select_keeps_previous_on_ties():

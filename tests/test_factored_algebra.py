@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1subspace.core import DataMatrix, SignMatrix, StiefelPoint, objective_h, sign_select
+from l1subspace.core import DataMatrix, SignMatrix, StiefelPoint, objective_h
 from l1subspace.errors import NumericError
 from l1subspace.linalg import polar_factor, spectral_norm
 from l1subspace.solvers import (
@@ -28,6 +28,8 @@ from l1subspace.solvers import (
     criticality_residual,
     extrapolate,
 )
+
+from dense_reference import sign_select
 
 RTOL = 1e-10
 
@@ -60,7 +62,10 @@ def assert_close(got, want):
 def test_sign_step_input_matches_dense_extrapolation(problem):
     X, Q, Q_prev, _, gamma = problem
     Xt = X.values.T
-    got = _xt_extrapolated(Xt @ Q.values, Xt @ Q_prev.values, Q.values, Q_prev.values, gamma)
+    F = np.hstack([Xt @ Q.values, Xt @ Q_prev.values])
+    W, out = np.empty((2 * Q.k, X.d)), np.empty((X.n, X.d))
+    got = _xt_extrapolated(F, W, Q.values, Q_prev.values, gamma, out)
+    assert got is out
     assert_close(got, Xt @ extrapolate(Q, Q_prev, gamma))
 
 

@@ -2,98 +2,18 @@ import numpy as np
 import pytest
 
 from l1subspace.core import DataMatrix, StiefelPoint
-from l1subspace.errors import ConvergenceError, DomainError, NumericError, ShapeError
+from l1subspace.errors import ConvergenceError, NumericError, ShapeError
 from l1subspace.linalg import (
     polar_factor,
     random_stiefel,
     singular_values,
     spectral_norm,
-    thin_svd,
-    top_k_left_singular,
 )
 
 
 def assert_orthonormal(U, tol=1e-10):
     k = U.shape[1]
     assert np.linalg.norm(U.T @ U - np.eye(k)) <= tol
-
-
-# ---------------------------------------------------------------------------
-# thin_svd
-
-
-def test_thin_svd_identity():
-    U, s, V = thin_svd(np.eye(3))
-    assert np.allclose(s, 1.0)
-    assert np.allclose(U @ np.diag(s) @ V.T, np.eye(3), atol=1e-14)
-
-
-def test_thin_svd_diagonal_with_zero_row():
-    M = np.array([[3.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-    U, s, V = thin_svd(M)
-    assert np.allclose(s, [3.0, 2.0], atol=1e-14)
-    assert np.allclose(U @ np.diag(s) @ V.T, M, atol=1e-13)
-
-
-def test_thin_svd_random_reconstruction():
-    rng = np.random.default_rng(0)
-    M = rng.standard_normal((5, 3))
-    U, s, V = thin_svd(M)
-    assert np.linalg.norm(U @ np.diag(s) @ V.T - M) <= 1e-10
-    assert_orthonormal(U)
-    assert_orthonormal(V)
-    assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-    # independent oracle: squared singular values are Gram eigenvalues
-    want = np.sqrt(np.maximum(np.linalg.eigvalsh(M.T @ M)[::-1], 0.0))
-    assert np.allclose(s, want, atol=1e-10)
-
-
-@pytest.mark.parametrize("shape", [(4, 1), (6, 4), (30, 8), (9, 9)])
-def test_thin_svd_shapes_against_numpy(shape):
-    rng = np.random.default_rng(sum(shape))
-    M = rng.standard_normal(shape)
-    U, s, V = thin_svd(M)
-    assert np.allclose(s, np.linalg.svd(M, compute_uv=False), atol=1e-10)
-    assert np.linalg.norm(U @ np.diag(s) @ V.T - M) <= 1e-9 * max(1.0, np.linalg.norm(M))
-    assert_orthonormal(U)
-    assert_orthonormal(V)
-
-
-def test_thin_svd_rank_deficient_completion():
-    rng = np.random.default_rng(2)
-    u = rng.standard_normal((6, 1))
-    v = rng.standard_normal((1, 3))
-    M = u @ v
-    U, s, V = thin_svd(M)
-    assert s[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
-    assert np.allclose(s[1:], 0.0, atol=1e-12)
-    assert_orthonormal(U)
-    assert np.linalg.norm(U @ np.diag(s) @ V.T - M) <= 1e-10
-
-
-def test_thin_svd_zero_matrix():
-    U, s, V = thin_svd(np.zeros((4, 2)))
-    assert np.all(s == 0.0)
-    assert_orthonormal(U)
-    assert_orthonormal(V)
-
-
-def test_thin_svd_graded_columns():
-    # columns spanning ten orders of magnitude still come back accurately
-    rng = np.random.default_rng(3)
-    M = rng.standard_normal((12, 4)) * np.array([1e5, 1.0, 1e-3, 1e-5])
-    U, s, V = thin_svd(M)
-    assert np.allclose(s, np.linalg.svd(M, compute_uv=False), rtol=1e-10)
-    assert np.linalg.norm(U @ np.diag(s) @ V.T - M) <= 1e-9 * np.linalg.norm(M)
-
-
-def test_thin_svd_errors():
-    with pytest.raises(ShapeError):
-        thin_svd(np.ones((2, 3)))
-    with pytest.raises(NumericError):
-        thin_svd(np.array([[np.nan], [1.0]]))
-    with pytest.raises(ShapeError):
-        thin_svd(np.zeros((0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +40,46 @@ def test_polar_factor_maximizes_inner_product():
     for _ in range(200):
         W, _ = np.linalg.qr(rng.standard_normal((4, 2)))
         assert float(np.vdot(W, M)) <= best + 1e-8
+
+
+def _procrustes_inputs():
+    rng = np.random.default_rng(0)
+    yield "identity", np.eye(3)
+    yield "zero-row", np.array([[3.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    yield "zero", np.zeros((4, 2))
+    for shape in [(5, 3), (4, 1), (6, 4), (30, 8), (9, 9)]:
+        yield f"{shape[0]}x{shape[1]}", rng.standard_normal(shape)
+    yield "rank-1", rng.standard_normal((6, 1)) @ rng.standard_normal((1, 3))
+    # columns spanning ten orders of magnitude
+    yield "graded", rng.standard_normal((12, 4)) * np.array([1e5, 1.0, 1e-3, 1e-5])
+
+
+PROCRUSTES_INPUTS = dict(_procrustes_inputs())
+
+
+@pytest.mark.parametrize("M", PROCRUSTES_INPUTS.values(), ids=PROCRUSTES_INPUTS)
+def test_polar_factor_is_procrustes_solution(M):
+    # independent oracle: Z is a polar factor of M exactly when Z has
+    # orthonormal columns and Z^T M is symmetric positive semidefinite, and
+    # then <Z, M> is the trace norm of M
+    Z = polar_factor(M)
+    assert Z.shape == M.shape
+    assert_orthonormal(Z)
+    H = Z.T @ M
+    scale = max(1.0, np.linalg.norm(M))
+    assert np.linalg.norm(H - H.T) <= 1e-9 * scale
+    assert np.linalg.eigvalsh((H + H.T) / 2.0).min() >= -1e-9 * scale
+    nuclear = np.linalg.svd(M, compute_uv=False).sum()
+    assert float(np.vdot(Z, M)) == pytest.approx(nuclear, rel=1e-10)
+
+
+def test_polar_factor_errors():
+    with pytest.raises(ShapeError, match="rows >= cols"):
+        polar_factor(np.ones((2, 3)))
+    with pytest.raises(NumericError):
+        polar_factor(np.array([[np.nan], [1.0]]))
+    with pytest.raises(ShapeError):
+        polar_factor(np.zeros((0, 0)))
 
 
 def test_polar_factor_zero_matrix_is_deterministic():
@@ -185,45 +145,7 @@ def test_spectral_norm_errors():
 
 
 # ---------------------------------------------------------------------------
-# leading singular subspaces
-
-
-def test_top_k_left_singular_diagonal():
-    X = DataMatrix(np.diag([3.0, 2.0, 1.0]))
-    Q = top_k_left_singular(X, 2)
-    proj = Q.values @ Q.values.T
-    want = np.diag([1.0, 1.0, 0.0])
-    assert np.allclose(proj, want, atol=1e-10)
-
-
-def test_top_k_left_singular_scaled_columns():
-    # X columns along e1 and e2 with norms 4 and 1: the K=1 space is e1
-    X = DataMatrix(np.array([[4.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    Q = top_k_left_singular(X, 1)
-    assert abs(Q.values[0, 0]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_top_k_left_singular_wide_matrix():
-    rng = np.random.default_rng(31)
-    X = DataMatrix(rng.standard_normal((6, 8)))
-    Q = top_k_left_singular(X, 3)
-    energy = np.linalg.norm(X.values.T @ Q.values) ** 2
-    want = np.sum(np.linalg.svd(X.values, compute_uv=False)[:3] ** 2)
-    assert energy == pytest.approx(want, rel=1e-10)
-
-
-def test_top_k_degenerate_gap_warns():
-    X = DataMatrix(np.eye(2))
-    with pytest.warns(RuntimeWarning):
-        top_k_left_singular(X, 1)
-
-
-def test_top_k_out_of_range():
-    X = DataMatrix(np.eye(3))
-    with pytest.raises(DomainError):
-        top_k_left_singular(X, 0)
-    with pytest.raises(DomainError):
-        top_k_left_singular(X, 4)
+# singular_values
 
 
 def test_singular_values_identity_and_rect():
@@ -248,16 +170,12 @@ def test_lapack_failure_is_convergence_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     X = DataMatrix(np.diag([3.0, 2.0, 1.0]))
-    with pytest.raises(ConvergenceError):
-        thin_svd(np.eye(3))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="polar_factor"):
         polar_factor(np.eye(3))
     with pytest.raises(ConvergenceError):
         singular_values(X)
     with pytest.raises(ConvergenceError):
         spectral_norm(np.eye(3))
-    with pytest.raises(ConvergenceError):
-        top_k_left_singular(X, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,55 @@
+"""The public surface: every function in ``l1subspace.__all__`` is there
+because a command, a demo or a benchmark workload runs it.
+
+A name counts as used when the command line, a demo or the benchmark's
+workloads name it in their source, or when the benchmark's tracer lists it
+in ``LAYERS``, which it rebinds by name.  The sources are read with ``ast``,
+never imported.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import l1subspace
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _named_in(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def _layer_names(path):
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "LAYERS" for target in node.targets
+        ):
+            return {
+                leaf.value
+                for leaf in ast.walk(node.value)
+                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+            }
+    raise AssertionError(f"{path} defines no LAYERS")
+
+
+def test_every_public_function_is_run_by_a_command_demo_or_workload():
+    sources = [ROOT / "src" / "l1subspace" / "cli.py", ROOT / "perfbench" / "workloads.py"]
+    sources += sorted((ROOT / "demos").glob("*.py"))
+    used = _layer_names(ROOT / "perfbench" / "tracer.py")
+    for path in sources:
+        used |= _named_in(path)
+    functions = [
+        name for name in l1subspace.__all__ if inspect.isfunction(getattr(l1subspace, name))
+    ]
+    assert functions
+    unused = sorted(set(functions) - used)
+    assert not unused, f"public functions no command, demo or workload runs: {unused}"
