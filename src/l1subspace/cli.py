@@ -95,8 +95,6 @@ _REQUIRED = object()
 
 
 def _parse_bool(text):
-    if isinstance(text, bool):
-        return text
     lowered = str(text).strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
@@ -105,7 +103,7 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# (key, converter, default); _REQUIRED marks keys that must be supplied
+# the option rows of every command that runs the solver (see COMMANDS)
 _SOLVER_OPTS = [
     ("alpha", float, 1e-6),
     ("beta", float, None),
@@ -117,52 +115,6 @@ _SOLVER_OPTS = [
     ("seed", int, 0),
     ("theory", _parse_bool, False),
 ]
-
-_OPTS = {
-    "synth": [
-        ("d", int, _REQUIRED),
-        ("n", int, _REQUIRED),
-        ("k", int, _REQUIRED),
-        ("sigma", float, _REQUIRED),
-        ("seed", int, 0),
-    ],
-    "solve": [
-        ("data", str, None),
-        ("libsvm", str, None),
-        ("k", int, _REQUIRED),
-        ("tev", _parse_bool, True),
-    ]
-    + _SOLVER_OPTS,
-    "bench": [
-        ("d", int, _REQUIRED),
-        ("n", int, _REQUIRED),
-        ("k", int, _REQUIRED),
-        ("sigma", float, _REQUIRED),
-        ("reps", int, 10),
-    ]
-    + _SOLVER_OPTS,
-    "cluster": [
-        ("libsvm", str, _REQUIRED),
-        ("k", int, None),
-        ("threshold", float, 0.8),
-        ("reps", int, 10),
-    ]
-    + _SOLVER_OPTS,
-    "reconstruct": [
-        ("image", str, None),
-        ("corrupted", str, None),
-        ("k", int, 2),
-    ]
-    + [
-        (key, conv, {"max_iters": 1000, "tol": 1e-3}.get(key, default))
-        for key, conv, default in _SOLVER_OPTS
-        if key not in ("theory",)
-    ],
-    "check": [
-        ("run", str, _REQUIRED),
-        ("data", str, None),
-    ],
-}
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -189,7 +141,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults, config-file values, and flag overrides for a command,
     then check the ranges no later step checks: a seed numpy accepts and an
     energy threshold in (0, 1]."""
-    table = _OPTS[command]
+    table = COMMANDS[command][2]
     known = {key for key, _, _ in table}
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
     unknown = sorted(set(file_values) - known)
@@ -856,8 +808,8 @@ def cmd_check(resolved: dict, out: None) -> None:
 # entry point
 
 
-def _add_option_flags(parser: argparse.ArgumentParser, command: str) -> None:
-    for key, convert, _default in _OPTS[command]:
+def _add_option_flags(parser: argparse.ArgumentParser, options) -> None:
+    for key, convert, _default in options:
         flag = "--" + key.replace("_", "-")
         if convert is _parse_bool:
             parser.add_argument(
@@ -867,6 +819,79 @@ def _add_option_flags(parser: argparse.ArgumentParser, command: str) -> None:
             parser.add_argument(flag, dest=key, type=convert, default=None)
 
 
+# command -> (handler, help line, option rows); an option row is
+# (key, converter, default), and _REQUIRED marks keys that must be supplied
+COMMANDS = {
+    "synth": (
+        cmd_synth,
+        "generate a synthetic dataset with planted subspace",
+        [
+            ("d", int, _REQUIRED),
+            ("n", int, _REQUIRED),
+            ("k", int, _REQUIRED),
+            ("sigma", float, _REQUIRED),
+            ("seed", int, 0),
+        ],
+    ),
+    "solve": (
+        cmd_solve,
+        "run the solver on a dataset and write report plus trace",
+        [
+            ("data", str, None),
+            ("libsvm", str, None),
+            ("k", int, _REQUIRED),
+            ("tev", _parse_bool, True),
+        ]
+        + _SOLVER_OPTS,
+    ),
+    "bench": (
+        cmd_bench,
+        "compare solver variants on repeated synthetic datasets",
+        [
+            ("d", int, _REQUIRED),
+            ("n", int, _REQUIRED),
+            ("k", int, _REQUIRED),
+            ("sigma", float, _REQUIRED),
+            ("reps", int, 10),
+        ]
+        + _SOLVER_OPTS,
+    ),
+    "cluster": (
+        cmd_cluster,
+        "subspace projection plus k-means accuracy on labeled data",
+        [
+            ("libsvm", str, _REQUIRED),
+            ("k", int, None),
+            ("threshold", float, 0.8),
+            ("reps", int, 10),
+        ]
+        + _SOLVER_OPTS,
+    ),
+    "reconstruct": (
+        cmd_reconstruct,
+        "corrupt, stack, and reconstruct a grayscale image",
+        [
+            ("image", str, None),
+            ("corrupted", str, None),
+            ("k", int, 2),
+        ]
+        + [
+            (key, conv, {"max_iters": 1000, "tol": 1e-3}.get(key, default))
+            for key, conv, default in _SOLVER_OPTS
+            if key not in ("theory",)
+        ],
+    ),
+    "check": (
+        cmd_check,
+        "re-verify a finished solve run",
+        [
+            ("run", str, _REQUIRED),
+            ("data", str, None),
+        ],
+    ),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -874,31 +899,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Robust L1 subspace estimation experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "synth": "generate a synthetic dataset with planted subspace",
-        "solve": "run the solver on a dataset and write report plus trace",
-        "bench": "compare solver variants on repeated synthetic datasets",
-        "cluster": "subspace projection plus k-means accuracy on labeled data",
-        "reconstruct": "corrupt, stack, and reconstruct a grayscale image",
-        "check": "re-verify a finished solve run",
-    }
-    for command in ("synth", "solve", "bench", "cluster", "reconstruct", "check"):
-        cmd_parser = sub.add_parser(command, help=descriptions[command])
+    for command, (_, help_line, options) in COMMANDS.items():
+        cmd_parser = sub.add_parser(command, help=help_line)
         cmd_parser.add_argument("--config", default=None, help="flat key = value file")
         if command != "check":
             cmd_parser.add_argument("--out", required=True, help="output directory")
-        _add_option_flags(cmd_parser, command)
+        _add_option_flags(cmd_parser, options)
     return parser
-
-
-_HANDLERS = {
-    "synth": cmd_synth,
-    "solve": cmd_solve,
-    "bench": cmd_bench,
-    "cluster": cmd_cluster,
-    "reconstruct": cmd_reconstruct,
-    "check": cmd_check,
-}
 
 
 def main(argv=None) -> int:
@@ -906,7 +913,7 @@ def main(argv=None) -> int:
     try:
         resolved = resolve_options(args.command, args)
         out = None if args.command == "check" else _ensure_out_dir(args.out)
-        _HANDLERS[args.command](resolved, out)
+        COMMANDS[args.command][0](resolved, out)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

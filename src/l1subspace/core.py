@@ -35,18 +35,33 @@ CENTERING_TOL = 1e-9
 STIEFEL_TOL = 1e-8
 
 
+def _matrix(M, what):
+    """M as a float array, not copied when it already is one.
+
+    Raises ShapeError unless M is a nonempty 2-d array and NumericError
+    unless every entry is finite; ``what`` names M in the message.
+    """
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 2 or A.size == 0:
+        raise ShapeError(f"{what} must be a nonempty 2-d array, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise NumericError(f"{what} has non-finite entries")
+    return A
+
+
 def _frozen_array(obj, field, raw):
-    vals = np.array(raw, dtype=float)
-    if vals.ndim != 2 or vals.size == 0:
-        raise ShapeError(
-            f"{type(obj).__name__}.{field} must be a nonempty 2-d array, "
-            f"got shape {np.shape(raw)}"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise NumericError(f"{type(obj).__name__}.{field} has non-finite entries")
+    vals = _matrix(np.array(raw, dtype=float), f"{type(obj).__name__}.{field}")
     vals.setflags(write=False)
     object.__setattr__(obj, field, vals)
     return vals
+
+
+def _fit(X, Q=None, P=None):
+    """Raise ShapeError unless Q has the d rows of the d x n data X and P is n x d."""
+    if Q is not None and Q.d != X.d:
+        raise ShapeError(f"Q has {Q.d} rows but X has {X.d} rows")
+    if P is not None and P.values.shape != (X.n, X.d):
+        raise ShapeError(f"P must be {X.n} x {X.d} to match X, got {P.values.shape}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +214,7 @@ class SolverConfig:
 
 def objective_l(Q: StiefelPoint, X: DataMatrix) -> float:
     """Projection objective l(Q) = -|| Q Q^T X ||_1 (entrywise L1 norm)."""
-    if Q.d != X.d:
-        raise ShapeError(f"Q has {Q.d} rows but X has {X.d} rows")
+    _fit(X, Q)
     return _objective_l(Q.values, X.values)
 
 
@@ -216,12 +230,7 @@ def objective_h(P: SignMatrix, Q: StiefelPoint, X: DataMatrix) -> float:
     Minimizing over sign matrices P recovers ``objective_l(Q, X)`` exactly,
     with minimizer P in sign(X^T Q Q^T).
     """
-    if Q.d != X.d:
-        raise ShapeError(f"Q has {Q.d} rows but X has {X.d} rows")
-    if P.values.shape != (X.n, X.d):
-        raise ShapeError(
-            f"P must be {X.n} x {X.d} to match X, got {P.values.shape}"
-        )
+    _fit(X, Q, P)
     return h_from_factors(P.values, Q.values, X.values.T @ Q.values)
 
 

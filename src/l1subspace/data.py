@@ -18,8 +18,8 @@ from itertools import islice
 
 import numpy as np
 
-from .core import DataMatrix, StiefelPoint
-from .errors import DomainError, NumericError, ParseError, ShapeError
+from .core import DataMatrix, StiefelPoint, _frozen_array
+from .errors import DomainError, ParseError, ShapeError
 from .linalg import polar_factor
 
 # integer outliers added to corrupted quadrants are uniform on this range
@@ -64,15 +64,9 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.array(self.pixels, dtype=float)
-        if px.ndim != 2 or px.size == 0:
-            raise ShapeError(f"pixels must be a nonempty 2-d array, got {np.shape(self.pixels)}")
-        if not np.all(np.isfinite(px)):
-            raise NumericError("pixels contain non-finite values")
+        px = _frozen_array(self, "pixels", self.pixels)
         if px.min() < 0.0 or px.max() > 255.0:
             raise DomainError(f"pixel range [{px.min():.3f}, {px.max():.3f}] exceeds [0, 255]")
-        px.setflags(write=False)
-        object.__setattr__(self, "pixels", px)
 
     @property
     def height(self) -> int:
@@ -464,7 +458,7 @@ def add_block_outliers(image: GrayImage, block_index: int, seed) -> np.ndarray:
     """
     if not (isinstance(block_index, (int, np.integer)) and 1 <= block_index <= 9):
         raise DomainError(f"block_index must be in 1..9, got {block_index!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     px = _crop_to_multiple(image.pixels, 6).copy()
     bh, bw = px.shape[0] // 3, px.shape[1] // 3
     r, c = divmod(block_index - 1, 3)

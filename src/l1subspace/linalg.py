@@ -12,17 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DataMatrix, StiefelPoint
-from .errors import ConvergenceError, NumericError, ShapeError
-
-
-def _checked_matrix(M, op):
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.size == 0:
-        raise ShapeError(f"{op} expects a nonempty 2-d array, got shape {np.shape(M)}")
-    if not np.all(np.isfinite(A)):
-        raise NumericError(f"{op} input has non-finite entries")
-    return A
+from .core import DataMatrix, StiefelPoint, _matrix
+from .errors import ConvergenceError, ShapeError
 
 
 def _svd(A, op, compute_uv=True):
@@ -39,7 +30,7 @@ def polar_factor(M) -> np.ndarray:
     M the free directions are whatever orthonormal completion LAPACK returns,
     which is deterministic for a fixed build.
     """
-    A = _checked_matrix(M, "polar_factor")
+    A = _matrix(M, "polar_factor input")
     if A.shape[0] < A.shape[1]:
         raise ShapeError(f"polar_factor needs rows >= cols, got shape {A.shape}")
     U, _, Vt = _svd(A, "polar_factor")
@@ -48,7 +39,7 @@ def polar_factor(M) -> np.ndarray:
 
 def spectral_norm(M) -> float:
     """Largest singular value of M."""
-    A = _checked_matrix(M, "spectral_norm")
+    A = _matrix(M, "spectral_norm input")
     return float(_svd(A, "spectral_norm", compute_uv=False)[0])
 
 
@@ -63,5 +54,4 @@ def random_stiefel(d: int, k: int, seed) -> StiefelPoint:
     ``seed`` is anything numpy's default_rng accepts, or an existing
     Generator, which is then advanced.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return StiefelPoint(polar_factor(rng.standard_normal((d, k))))
+    return StiefelPoint(polar_factor(np.random.default_rng(seed).standard_normal((d, k))))

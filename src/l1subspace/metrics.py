@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataMatrix, StiefelPoint
+from .core import DataMatrix, StiefelPoint, _fit
 from .errors import DomainError, ShapeError
 from .linalg import singular_values
 from .solvers import RunTrace
@@ -64,8 +64,7 @@ def tev(X: DataMatrix, Q: StiefelPoint, *, baseline: float | None = None) -> flo
     ``baseline`` short-circuits the denominator when the caller has already
     computed l2_baseline_energy(X, Q.k); X = 0 is a domain error.
     """
-    if Q.d != X.d:
-        raise ShapeError(f"Q has {Q.d} rows but X has {X.d}")
+    _fit(X, Q)
     if baseline is None:
         baseline = l2_baseline_energy(X, Q.k)
     if not baseline > 0.0:
@@ -295,7 +294,6 @@ def choose_k_energy(X: DataMatrix, threshold: float = 0.8) -> int:
 
 def reconstruct(X: DataMatrix, Q: StiefelPoint) -> DataMatrix:
     """Projection Q Q^T X of the data onto the subspace."""
-    if Q.d != X.d:
-        raise ShapeError(f"Q has {Q.d} rows but X has {X.d}")
+    _fit(X, Q)
     values = Q.values @ (Q.values.T @ X.values)
     return DataMatrix(values, centered=X.centered)

@@ -61,6 +61,7 @@ from .core import (
     SignMatrix,
     SolverConfig,
     StiefelPoint,
+    _fit,
     _objective_l,
     _positive_finite,
     h_from_factors,
@@ -245,8 +246,7 @@ def update_P(P: SignMatrix, X: DataMatrix, E: np.ndarray, alpha: float) -> SignM
     E = np.asarray(E, dtype=float)
     if E.shape != (X.d, X.d):
         raise ShapeError(f"E must be {X.d} x {X.d}, got {E.shape}")
-    if P.values.shape != (X.n, X.d):
-        raise ShapeError(f"P must be {X.n} x {X.d}, got {P.values.shape}")
+    _fit(X, P=P)
     P_next = P.values.copy()
     _sign_step(P_next, X.values.T @ E, alpha)
     return SignMatrix(P_next)
@@ -259,10 +259,7 @@ def update_Q(Q: StiefelPoint, P_next: SignMatrix, X: DataMatrix, beta: float) ->
     linearized objective plus the proximal coupling to the previous Q.
     """
     _positive_finite("beta", beta)
-    if P_next.values.shape != (X.n, X.d):
-        raise ShapeError(f"P must be {X.n} x {X.d}, got {P_next.values.shape}")
-    if Q.d != X.d:
-        raise ShapeError(f"Q has {Q.d} rows but X has {X.d} rows")
+    _fit(X, Q, P_next)
     SQ = _s_times(X.values, P_next.values, Q.values, X.values.T @ Q.values)
     Q_next = _q_step(Q.values, SQ, beta)
     return Q if Q_next is Q.values else StiefelPoint(Q_next)
@@ -309,8 +306,7 @@ def adaptive_beta(X: DataMatrix, P: SignMatrix, beta_star: float, beta_sup: floa
     Raises InfeasibleBoundError when the value would exceed beta_sup.
     """
     _positive_finite("beta_star", beta_star)
-    if P.values.shape != (X.n, X.d):
-        raise ShapeError(f"P must be {X.n} x {X.d}, got {P.values.shape}")
+    _fit(X, P=P)
     return _beta(_data_factor(X.values)[1], P.values, beta_star, beta_sup)
 
 
@@ -356,11 +352,7 @@ def sign_mismatch(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> np.ndarray:
     Entries with magnitude at most ``ZERO_TOL`` count as zero and never
     disagree.  An empty result means P selects sign(X^T Q Q^T).
     """
-    if Q.d != X.d or P.values.shape != (X.n, X.d):
-        raise ShapeError(
-            f"inconsistent shapes: X is {X.d} x {X.n}, Q is {Q.d} x {Q.k}, "
-            f"P is {P.values.shape}"
-        )
+    _fit(X, Q, P)
     return _disagreements(_agreement(X.values.T @ Q.values, Q.values, P.values))
 
 
@@ -384,8 +376,7 @@ def check_alpha_condition(X: DataMatrix, Q: StiefelPoint, alpha_star: float) -> 
     """Post-hoc step-size test: alpha_star below the smallest nonzero entry
     magnitude of X^T Q Q^T.  Vacuously true when that matrix is zero."""
     _positive_finite("alpha_star", alpha_star)
-    if Q.d != X.d:
-        raise ShapeError(f"Q has {Q.d} rows but X has {X.d} rows")
+    _fit(X, Q)
     T = (X.values.T @ Q.values) @ Q.values.T
     return _alpha_holds(np.abs(T, out=T), alpha_star)
 
@@ -424,8 +415,7 @@ def solve(
     """
     if not X.centered:
         raise FeasibilityError("solve requires a centered data matrix")
-    if init_Q.d != X.d:
-        raise ShapeError(f"init_Q has {init_Q.d} rows but X has {X.d} rows")
+    _fit(X, init_Q)
     if init_Q.k > min(X.d, X.n):
         raise ShapeError(
             f"K = {init_Q.k} exceeds min(d, n) = {min(X.d, X.n)}"

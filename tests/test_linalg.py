@@ -142,6 +142,10 @@ def test_spectral_norm_never_underestimates_much():
 def test_spectral_norm_errors():
     with pytest.raises(NumericError):
         spectral_norm(np.array([[np.inf]]))
+    with pytest.raises(ShapeError):
+        spectral_norm(np.ones(3))
+    with pytest.raises(ShapeError):
+        spectral_norm(np.zeros((0, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from l1subspace.core import (
     StiefelPoint,
     h_from_factors,
     objective_h,
+    objective_l,
 )
 from l1subspace.errors import (
     DomainError,
@@ -25,6 +26,7 @@ from l1subspace.errors import (
     ShapeError,
 )
 from l1subspace.linalg import random_stiefel, spectral_norm
+from l1subspace.metrics import reconstruct, tev
 from l1subspace.solvers import (
     ZERO_TOL,
     _beta,
@@ -37,6 +39,7 @@ from l1subspace.solvers import (
     criticality_residual,
     extrapolate,
     gamma_star,
+    sign_mismatch,
     solve,
     sufficient_decrease_check,
     update_P,
@@ -507,6 +510,44 @@ def test_solve_tight_tolerance_reaches_stationarity():
     assert rep.stop_reason == "tolerance"
     assert np.isfinite(rep.criticality)
     assert rep.criticality <= 1e-6 * (1.0 + np.linalg.norm(X.values))
+
+
+# ---------------------------------------------------------------------------
+# the shape guard of every function that couples X (d x n), Q (d x K), P (n x d)
+
+# (name, call on (X, Q, P), the blocks it takes)
+COUPLED = [
+    ("objective_l", lambda X, Q, P: objective_l(Q, X), "Q"),
+    ("objective_h", lambda X, Q, P: objective_h(P, Q, X), "QP"),
+    ("tev", lambda X, Q, P: tev(X, Q), "Q"),
+    ("reconstruct", lambda X, Q, P: reconstruct(X, Q), "Q"),
+    ("update_P", lambda X, Q, P: update_P(P, X, np.eye(X.d), 1.0), "P"),
+    ("update_Q", lambda X, Q, P: update_Q(Q, P, X, 1.0), "QP"),
+    ("adaptive_beta", lambda X, Q, P: adaptive_beta(X, P, 1.0, 1e9), "P"),
+    ("sign_mismatch", lambda X, Q, P: sign_mismatch(Q, P, X), "QP"),
+    ("check_alpha_condition", lambda X, Q, P: check_alpha_condition(X, Q, 1e-6), "Q"),
+    ("solve", lambda X, Q, P: solve(X, practical_config(), Q), "Q"),
+    ("criticality_residual", lambda X, Q, P: criticality_residual(Q, P, X), "QP"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, block",
+    [
+        pytest.param(call, block, id=f"{name}-{block}")
+        for name, call, blocks in COUPLED
+        for block in blocks
+    ],
+)
+def test_mismatched_block_is_a_shape_error(call, block):
+    # one block at a time gets d + 1 rows (Q) or d + 1 columns (P); unguarded,
+    # numpy's matmul would raise a plain ValueError instead
+    d, n, k = 4, 6, 2
+    X = random_centered(d, n, np.random.default_rng(5))
+    Q = random_stiefel(d + (block == "Q"), k, 6)
+    P = SignMatrix(np.ones((n, d + (block == "P"))))
+    with pytest.raises(ShapeError):
+        call(X, Q, P)
 
 
 # ---------------------------------------------------------------------------
