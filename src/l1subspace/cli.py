@@ -12,12 +12,16 @@ section of each report, on one BLAS/LAPACK build run with a fixed thread
 count; other thread counts can change the last digits.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 solver error,
-5 check failure.
+5 check failure.  One boundary, :func:`_fails_as`, turns a library error into
+the code of the phase it arises in: settings are exit 2, input files exit 3,
+the solver exit 4 (exit 2 when it rejects the setup), and a failed ``check``
+exit 5.  A corrupt report field, the dataset path included, is exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -88,6 +92,15 @@ class CliError(Exception):
         self.code = code
 
 
+@contextlib.contextmanager
+def _fails_as(code: int, what: str, *errors):
+    """Turn any of ``errors`` raised in the block into ``CliError(code, "what: error")``."""
+    try:
+        yield
+    except errors as exc:
+        raise CliError(code, f"{what}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # option plumbing: config file + flag overrides -> one resolved dict
 
@@ -119,10 +132,8 @@ _SOLVER_OPTS = [
 
 def read_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` lines; blank lines and # comments are ignored."""
-    try:
+    with _fails_as(EXIT_CONFIG, "cannot read config file", OSError, UnicodeDecodeError):
         text = _read(path, binary=True).decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(EXIT_CONFIG, f"cannot read config file: {exc}") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -139,8 +150,8 @@ def read_config_file(path) -> dict[str, str]:
 
 def resolve_options(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults, config-file values, and flag overrides for a command,
-    then check the ranges no later step checks: a seed numpy accepts and an
-    energy threshold in (0, 1]."""
+    then check the ranges no later step checks: a seed numpy accepts, an
+    energy threshold in (0, 1] and at least one repetition."""
     table = COMMANDS[command][2]
     known = {key for key, _, _ in table}
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
@@ -155,10 +166,8 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in file_values:
-            try:
+            with _fails_as(EXIT_CONFIG, f"config key {key}", ValueError):
                 resolved[key] = convert(file_values[key])
-            except ValueError as exc:
-                raise CliError(EXIT_CONFIG, f"config key {key}: {exc}") from None
         elif default is _REQUIRED:
             raise CliError(EXIT_CONFIG, f"missing required setting: {key}")
         else:
@@ -167,6 +176,8 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
         raise CliError(EXIT_CONFIG, f"seed must be a nonnegative integer, got {resolved['seed']}")
     if not 0.0 < resolved.get("threshold", 1.0) <= 1.0:
         raise CliError(EXIT_CONFIG, f"threshold must lie in (0, 1], got {resolved['threshold']!r}")
+    if resolved.get("reps", 1) < 1:
+        raise CliError(EXIT_CONFIG, "reps must be at least 1")
     return resolved
 
 
@@ -201,10 +212,8 @@ def _jsonable_float(value):
 
 
 def _ensure_out_dir(path: str) -> str:
-    try:
+    with _fails_as(EXIT_DATA, "cannot create output directory", OSError):
         os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise CliError(EXIT_DATA, f"cannot create output directory: {exc}") from None
     return path
 
 
@@ -221,7 +230,7 @@ def build_solver_config(resolved: dict) -> SolverConfig:
         raise CliError(EXIT_CONFIG, "a beta setting is required: beta, or beta_star with beta_sup")
     if fixed is None and (star is None or sup is None):
         raise CliError(EXIT_CONFIG, "beta_star and beta_sup must be given together")
-    try:
+    with _fails_as(EXIT_CONFIG, "invalid solver settings", DomainError, ShapeError, ValueError):
         beta_mode = FixedBeta(fixed) if fixed is not None else AdaptiveBeta(star, sup)
         return SolverConfig(
             alpha=resolved["alpha"],
@@ -231,8 +240,6 @@ def build_solver_config(resolved: dict) -> SolverConfig:
             tol=resolved["tol"],
             theory_mode=resolved.get("theory", False),
         )
-    except (DomainError, ShapeError, ValueError) as exc:
-        raise CliError(EXIT_CONFIG, f"invalid solver settings: {exc}") from None
 
 
 def load_feature_matrix(resolved: dict) -> DataMatrix:
@@ -240,14 +247,13 @@ def load_feature_matrix(resolved: dict) -> DataMatrix:
     data_path, libsvm_path = resolved.get("data"), resolved.get("libsvm")
     if (data_path is None) == (libsvm_path is None):
         raise CliError(EXIT_CONFIG, "give exactly one of data (CSV) or libsvm")
-    try:
+    with _fails_as(EXIT_DATA, "cannot load features",
+                   OSError, ParseError, ShapeError, NumericError):
         if data_path is not None:
             raw = DataMatrix(read_csv_matrix(data_path))
         else:
             raw = parse_libsvm(libsvm_path).features
         return center_features(raw)
-    except (OSError, ParseError, ShapeError, NumericError) as exc:
-        raise CliError(EXIT_DATA, f"cannot load features: {exc}") from None
 
 
 def trace_csv_text(trace: RunTrace) -> str:
@@ -303,16 +309,12 @@ def _run_solver(X: DataMatrix, config: SolverConfig, k: int, seed) -> RunReport:
 
     The CLI writes no Q snapshot out, so none is kept.
     """
-    try:
+    with _fails_as(EXIT_CONFIG, "invalid subspace dimension", DomainError, ShapeError):
         init_Q = random_stiefel(X.d, k, seed=seed)
-    except (DomainError, ShapeError) as exc:
-        raise CliError(EXIT_CONFIG, f"invalid subspace dimension: {exc}") from None
-    try:
-        return solve(X, config, init_Q, snapshots=False)
-    except _SOLVER_ERRORS as exc:
-        raise CliError(EXIT_SOLVER, f"solver failed: {exc}") from None
-    except (FeasibilityError, ShapeError, DomainError) as exc:
-        raise CliError(EXIT_CONFIG, f"solver rejected the setup: {exc}") from None
+    with _fails_as(EXIT_CONFIG, "solver rejected the setup",
+                   FeasibilityError, ShapeError, DomainError):
+        with _fails_as(EXIT_SOLVER, "solver failed", *_SOLVER_ERRORS):
+            return solve(X, config, init_Q, snapshots=False)
 
 
 def _write_report(out: str, command: str, resolved: dict, results: dict, timing: dict) -> None:
@@ -336,12 +338,10 @@ def _sha256(path: str) -> str:
 
 
 def cmd_synth(resolved: dict, out: str) -> None:
-    try:
+    with _fails_as(EXIT_CONFIG, "invalid synthetic settings", DomainError, NumericError):
         X, truth = gen_synthetic(
             resolved["d"], resolved["n"], resolved["k"], resolved["sigma"], resolved["seed"]
         )
-    except (DomainError, NumericError) as exc:
-        raise CliError(EXIT_CONFIG, f"invalid synthetic settings: {exc}") from None
     x_path = os.path.join(out, "X.csv")
     q_path = os.path.join(out, "Q_true.csv")
     write_csv_matrix(X.values, x_path)
@@ -419,19 +419,15 @@ def _csv_cell(value) -> str:
 
 def cmd_bench(resolved: dict, out: str) -> None:
     variants = ("palme", "palm")
-    if resolved["reps"] < 1:
-        raise CliError(EXIT_CONFIG, "reps must be at least 1")
     base_config = build_solver_config(resolved)
 
     rows = []
     for rep in range(resolved["reps"]):
         data_seed = resolved["seed"] + rep
-        try:
+        with _fails_as(EXIT_CONFIG, "invalid synthetic settings", DomainError, NumericError):
             X, _ = gen_synthetic(
                 resolved["d"], resolved["n"], resolved["k"], resolved["sigma"], data_seed
             )
-        except (DomainError, NumericError) as exc:
-            raise CliError(EXIT_CONFIG, f"invalid synthetic settings: {exc}") from None
         baseline = l2_baseline_energy(X, resolved["k"])
         for variant in variants:
             gamma = 0.0 if variant == "palm" else base_config.gamma
@@ -500,13 +496,9 @@ def cmd_bench(resolved: dict, out: str) -> None:
 def cmd_cluster(resolved: dict, out: str) -> None:
     if resolved["k"] is not None and resolved["k"] < 2:
         raise CliError(EXIT_CONFIG, "k must be at least 2")
-    if resolved["reps"] < 1:
-        raise CliError(EXIT_CONFIG, "reps must be at least 1")
     config = build_solver_config(resolved)
-    try:
+    with _fails_as(EXIT_DATA, "cannot load dataset", OSError, ParseError):
         dataset = parse_libsvm(resolved["libsvm"])
-    except (OSError, ParseError) as exc:
-        raise CliError(EXIT_DATA, f"cannot load dataset: {exc}") from None
     n_clusters = len(np.unique(dataset.labels))
     if n_clusters < 2:
         raise CliError(EXIT_DATA, "dataset holds a single class; nothing to cluster")
@@ -515,10 +507,8 @@ def cmd_cluster(resolved: dict, out: str) -> None:
         K = resolved["k"]
         k_rule = "flag"
     else:
-        try:
+        with _fails_as(EXIT_DATA, "energy rule failed", DomainError):
             K = choose_k_energy(X, threshold=resolved["threshold"])
-        except DomainError as exc:
-            raise CliError(EXIT_DATA, f"energy rule failed: {exc}") from None
         K = max(K, 2)
         k_rule = "energy"
     accuracies, iterations = [], []
@@ -557,22 +547,18 @@ def cmd_cluster(resolved: dict, out: str) -> None:
 
 
 def _load_corrupted_dir(path: str) -> list[GrayImage]:
-    try:
+    with _fails_as(EXIT_DATA, "cannot list corrupted directory", OSError):
         names = sorted(
             name for name in os.listdir(path) if name.lower().endswith(".pgm")
         )
-    except OSError as exc:
-        raise CliError(EXIT_DATA, f"cannot list corrupted directory: {exc}") from None
     if len(names) != 9:
         raise CliError(
             EXIT_DATA, f"corrupted directory must hold exactly 9 PGM files, found {len(names)}"
         )
     images = []
     for name in names:
-        try:
+        with _fails_as(EXIT_DATA, f"cannot read {name}", OSError, ParseError):
             images.append(read_pgm(os.path.join(path, name)))
-        except (OSError, ParseError) as exc:
-            raise CliError(EXIT_DATA, f"cannot read {name}: {exc}") from None
     return images
 
 
@@ -585,14 +571,10 @@ def cmd_reconstruct(resolved: dict, out: str) -> None:
 
     clean = None
     if resolved["image"] is not None:
-        try:
+        with _fails_as(EXIT_DATA, "cannot read clean image", OSError, ParseError):
             clean = read_pgm(resolved["image"])
-        except (OSError, ParseError) as exc:
-            raise CliError(EXIT_DATA, f"cannot read clean image: {exc}") from None
-        try:
+        with _fails_as(EXIT_DATA, "clean image unusable", ShapeError):
             clean = crop_to_grid(clean)
-        except ShapeError as exc:
-            raise CliError(EXIT_DATA, f"clean image unusable: {exc}") from None
 
     if resolved["corrupted"] is not None:
         corrupted = _load_corrupted_dir(resolved["corrupted"])
@@ -604,10 +586,8 @@ def cmd_reconstruct(resolved: dict, out: str) -> None:
         for block, image in enumerate(corrupted, start=1):
             write_pgm(image, os.path.join(out, f"corrupted_{block}.pgm"))
 
-    try:
+    with _fails_as(EXIT_DATA, "corrupted images disagree", ShapeError):
         columns = image_columns(corrupted)
-    except ShapeError as exc:
-        raise CliError(EXIT_DATA, f"corrupted images disagree: {exc}") from None
     if clean is not None and clean.pixels.shape != corrupted[0].pixels.shape:
         raise CliError(
             EXIT_DATA,
@@ -652,12 +632,9 @@ def cmd_reconstruct(resolved: dict, out: str) -> None:
 
 def _load_report(run_dir: str) -> dict:
     path = os.path.join(run_dir, "report.json")
-    try:
-        payload = json.loads(_read(path, binary=True).decode("utf-8"))
-    except OSError as exc:
-        raise CliError(EXIT_DATA, f"cannot read report: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CliError(EXIT_DATA, f"corrupt report JSON: {exc}") from None
+    with _fails_as(EXIT_DATA, "cannot read report", OSError):
+        with _fails_as(EXIT_DATA, "corrupt report JSON", json.JSONDecodeError, UnicodeDecodeError):
+            payload = json.loads(_read(path, binary=True).decode("utf-8"))
     if not isinstance(payload, dict):
         raise CliError(EXIT_DATA, "corrupt report: not a JSON object")
     for key in ("command", "config", "results"):
@@ -692,26 +669,23 @@ def cmd_check(resolved: dict, out: None) -> None:
     results = payload["results"]
 
     if resolved["data"] is not None:
-        stored_config = dict(stored_config)
-        stored_config["data"] = resolved["data"]
-        stored_config.pop("libsvm", None)
+        stored_config = {**stored_config, "data": resolved["data"], "libsvm": None}
+    for key in ("data", "libsvm"):
+        # an int path would name a file descriptor, such as stdin
+        if not isinstance(stored_config.get(key), (str, type(None))):
+            raise CliError(EXIT_DATA, f"corrupt report: {key!r} is not a string")
     if stored_config.get("data") is None and stored_config.get("libsvm") is None:
         raise CliError(EXIT_DATA, "report config names no dataset; pass --data")
-    X = load_feature_matrix(
-        {"data": stored_config.get("data"), "libsvm": stored_config.get("libsvm")}
-    )
-    try:
+    X = load_feature_matrix(stored_config)
+    with _fails_as(EXIT_DATA, "corrupt run artifacts",
+                   OSError, ParseError, FeasibilityError, ShapeError, NumericError):
         final_Q = StiefelPoint(read_csv_matrix(os.path.join(run_dir, "final_Q.csv")))
         final_P = SignMatrix(read_csv_matrix(os.path.join(run_dir, "final_P.csv")))
-    except (OSError, ParseError, FeasibilityError, ShapeError, NumericError) as exc:
-        raise CliError(EXIT_DATA, f"corrupt run artifacts: {exc}") from None
     if final_Q.d != X.d or final_P.values.shape != (X.n, X.d):
         raise CliError(EXIT_DATA, f"run artifacts do not fit the {X.d} x {X.n} dataset")
 
-    try:
+    with _fails_as(EXIT_DATA, "corrupt report config", CliError, KeyError):
         config = build_solver_config(stored_config)
-    except (CliError, KeyError) as exc:
-        raise CliError(EXIT_DATA, f"corrupt report config: {exc}") from None
     alpha = config.alpha
     holds = check_alpha_condition(X, final_Q, alpha)
     print(f"alpha condition: {'holds' if holds else 'does not hold'} (informational)")
@@ -777,12 +751,9 @@ def cmd_check(resolved: dict, out: None) -> None:
     checks.append(("report consistency", consistent, detail))
 
     if config.theory_mode:
-        try:
-            text = _read(os.path.join(run_dir, "trace.csv"), binary=True).decode("utf-8")
-        except OSError as exc:
-            raise CliError(EXIT_DATA, f"cannot read trace: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise CliError(EXIT_DATA, f"corrupt trace: {exc}") from None
+        with _fails_as(EXIT_DATA, "cannot read trace", OSError):
+            with _fails_as(EXIT_DATA, "corrupt trace", UnicodeDecodeError):
+                text = _read(os.path.join(run_dir, "trace.csv"), binary=True).decode("utf-8")
         trace = parse_trace_csv(text)
         trace.gamma_star = gs
         audit = sufficient_decrease_check(trace, config)
@@ -876,7 +847,7 @@ COMMANDS = {
             ("k", int, 2),
         ]
         + [
-            (key, conv, {"max_iters": 1000, "tol": 1e-3}.get(key, default))
+            (key, conv, {"tol": 1e-3}.get(key, default))
             for key, conv, default in _SOLVER_OPTS
             if key not in ("theory",)
         ],

@@ -201,6 +201,8 @@ class SolverConfig:
             raise DomainError(f"gamma must lie in [0, 1], got {self.gamma!r}")
         if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
             raise DomainError(f"max_iters must be a positive integer, got {self.max_iters!r}")
+        if not isinstance(self.theory_mode, bool):
+            raise DomainError(f"theory_mode must be a bool, got {self.theory_mode!r}")
         if self.theory_mode and not isinstance(self.beta_mode, AdaptiveBeta):
             raise DomainError("theory_mode requires an AdaptiveBeta mode")
 

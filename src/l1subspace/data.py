@@ -135,7 +135,7 @@ def _read(source, binary: bool = False):
     if hasattr(source, "read"):
         data = source.read()
     else:
-        with open(source, "rb") as fh:
+        with open(os.fspath(source), "rb") as fh:
             data = fh.read()
     if binary or isinstance(data, str):
         return data

@@ -303,9 +303,10 @@ def gamma_star(alpha_star: float, beta_star: float, X: DataMatrix) -> float:
 def adaptive_beta(X: DataMatrix, P: SignMatrix, beta_star: float, beta_sup: float) -> float:
     """Theory-mode Q-step parameter (3/2) beta_star + 2 ||X P||_2.
 
-    Raises InfeasibleBoundError when the value would exceed beta_sup.
+    Raises DomainError unless (beta_star, beta_sup) are valid AdaptiveBeta
+    bounds, and InfeasibleBoundError when the value would exceed beta_sup.
     """
-    _positive_finite("beta_star", beta_star)
+    AdaptiveBeta(beta_star, beta_sup)
     _fit(X, P=P)
     return _beta(_data_factor(X.values)[1], P.values, beta_star, beta_sup)
 

@@ -879,6 +879,34 @@ class TestCheck:
         assert run_cli("check", "--run", finished_run, "--data", other) == 3
         assert "do not fit the 7 x 60 dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("data", 0), ("data", True), ("data", ["x"]),
+                                           ("libsvm", 0)])
+    def test_non_string_dataset_path_is_corrupt(self, finished_run, small_csv, key, value):
+        # an int path once named a file descriptor: 0 read X from stdin and
+        # True tried to read stdout, so run a child with the dataset on stdin
+        path = finished_run / "report.json"
+        report = json.loads(path.read_text())
+        del report["config"]["data"]
+        report["config"][key] = value
+        path.write_text(json.dumps(report))
+        src = str(Path(l1subspace.__file__).parents[1])
+        argv = [sys.executable, "-m", "l1subspace.cli", "check", "--run", str(finished_run)]
+        with open(small_csv, "rb") as stdin:
+            done = subprocess.run(argv, stdin=stdin, capture_output=True, text=True,
+                                  timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 3, done.stderr
+        assert done.stderr == f"error: corrupt report: {key!r} is not a string\n"
+
+    @pytest.mark.parametrize("theory", ["false", 1])
+    def test_non_boolean_theory_is_corrupt(self, theory_run, theory, capsys):
+        # a truthy "false" once ran the decrease audit as if theory were on
+        path = theory_run / "report.json"
+        report = json.loads(path.read_text())
+        report["config"]["theory"] = theory
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", theory_run) == 3
+        assert "theory_mode must be a bool" in capsys.readouterr().err
+
     def test_undecodable_report_is_corrupt(self, finished_run, capsys):
         report = finished_run / "report.json"
         insert_undecodable_byte(report, report)
@@ -933,6 +961,66 @@ class TestCheck:
         del report["results"]["final_objective"]
         path.write_text(json.dumps(report))
         assert run_cli("check", "--run", finished_run) == 3
+
+
+# ---------------------------------------------------------------------------
+# library errors mapped to exit codes
+
+# one input per mapped failure that no other test names:
+# (argv, exit code, the prefix the error line starts with)
+MAPPED_FAILURES = {
+    "config-key": ("solve --out {out} --config {bad_k} --data {X} --beta 20", 2,
+                   "config key k"),
+    "out-dir": ("synth --out {file}/sub --d 6 --n 12 --k 2 --sigma 0.5", 3,
+                "cannot create output directory"),
+    "features": ("solve --out {out} --data {missing} --k 2 --beta 20", 3,
+                 "cannot load features"),
+    "k-zero": ("solve --out {out} --data {X} --k 0 --beta 20", 2,
+               "invalid subspace dimension"),
+    "dataset": ("cluster --out {out} --libsvm {missing} --beta 20", 3, "cannot load dataset"),
+    "energy": ("cluster --out {out} --libsvm {flat} --beta 20", 3, "energy rule failed"),
+    "list-corrupted": ("reconstruct --out {out} --corrupted {file}", 3,
+                       "cannot list corrupted directory"),
+    "corrupted-pgm": ("reconstruct --out {out} --corrupted {one_bad}", 3,
+                      "cannot read img_9.pgm"),
+    "clean-image": ("reconstruct --out {out} --image {missing}", 3, "cannot read clean image"),
+    "clean-unusable": ("reconstruct --out {out} --image {tiny}", 3, "clean image unusable"),
+    "disagree": ("reconstruct --out {out} --corrupted {two_sizes}", 3,
+                 "corrupted images disagree"),
+    "report": ("check --run {empty}", 3, "cannot read report"),
+    "artifacts": ("check --run {no_q}", 3, "corrupt run artifacts"),
+}
+
+
+@pytest.fixture(scope="module")
+def mapped_inputs(tmp_path_factory, small_csv):
+    root = tmp_path_factory.mktemp("mapped")
+    names = ("bad_k", "file", "flat", "tiny", "one_bad", "two_sizes", "empty", "no_q", "missing")
+    paths = {name: root / name for name in names}
+    paths["bad_k"].write_text("k = x\n")
+    paths["file"].write_text("a regular file\n")
+    paths["flat"].write_text("1 1:1\n2 1:1\n")  # LIBSVM data that centers to zero
+    write_pgm(GrayImage(np.full((5, 5), 7.0)), paths["tiny"])
+    for name in ("one_bad", "two_sizes", "empty"):
+        paths[name].mkdir()
+    for i in range(1, 10):
+        write_pgm(GrayImage(np.full((6, 6), 7.0)), paths["one_bad"] / f"img_{i}.pgm")
+        write_pgm(GrayImage(np.full((6 + 6 * (i % 2), 6), 7.0)),
+                  paths["two_sizes"] / f"img_{i}.pgm")
+    (paths["one_bad"] / "img_9.pgm").write_bytes(b"P5\nnot a header\n")
+    assert run_cli(*solve_args(paths["no_q"], small_csv)) == 0
+    (paths["no_q"] / "final_Q.csv").unlink()
+    return {**paths, "X": small_csv}
+
+
+@pytest.mark.parametrize("args,code,prefix", MAPPED_FAILURES.values(), ids=MAPPED_FAILURES)
+def test_library_error_is_mapped_to_its_exit_code(tmp_path, mapped_inputs, args, code,
+                                                   prefix, capsys):
+    argv = args.format(out=tmp_path / "out", **mapped_inputs).split()
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}: ")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

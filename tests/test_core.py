@@ -272,6 +272,8 @@ def test_config_validation():
         SolverConfig(alpha=1.0, beta_mode=FixedBeta(1.0), max_iters=0)
     with pytest.raises(DomainError):
         SolverConfig(alpha=1.0, beta_mode=FixedBeta(1.0), theory_mode=True)
+    with pytest.raises(DomainError, match="theory_mode must be a bool"):
+        SolverConfig(alpha=1e-6, beta_mode=AdaptiveBeta(1.0, 100.0), theory_mode="false")
     cfg = SolverConfig(alpha=1e-6, beta_mode=AdaptiveBeta(1.0, 100.0), theory_mode=True)
     assert cfg.beta_star == 1.0
     assert SolverConfig(alpha=1.0, beta_mode=FixedBeta(2.5)).beta_star == 2.5

@@ -1,5 +1,6 @@
 """Tests for synthetic data generation, text formats, and image handling."""
 
+import contextlib
 import io
 import math
 import os
@@ -671,6 +672,20 @@ def test_p5_round_trip_with_comments_between_header_tokens(img, data):
     # exactly one whitespace byte separates maxval from the raster
     back = read_pgm(tokens[0] + _interleave(tokens, seps) + blob[head_len:])
     assert np.array_equal(back.pixels, img.pixels)
+
+
+def test_int_source_is_a_type_error_not_a_file_descriptor():
+    # open() takes an int as a file descriptor; the readers take paths and
+    # file objects only, so one end of a pipe holding a valid CSV is refused
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"1,2\n3,4\n")
+    os.close(write_end)
+    try:
+        with pytest.raises(TypeError):
+            read_csv_matrix(read_end)
+    finally:
+        with contextlib.suppress(OSError):
+            os.close(read_end)
 
 
 @given(

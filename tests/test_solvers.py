@@ -238,6 +238,15 @@ def test_adaptive_beta_known_norm():
         adaptive_beta(X, P, 2.0, 20.0)
 
 
+@pytest.mark.parametrize("beta_sup", [float("nan"), -1.0])
+def test_adaptive_beta_checks_the_upper_bound(beta_sup):
+    # a NaN bound once passed (25.18 here) and a negative one was infeasible
+    X = DataMatrix(np.random.default_rng(0).standard_normal((4, 6)))
+    P = SignMatrix(np.ones((6, 4)))
+    with pytest.raises(DomainError, match="beta_sup"):
+        adaptive_beta(X, P, 1.0, beta_sup)
+
+
 # ---------------------------------------------------------------------------
 # stationarity diagnostics
 

@@ -4,7 +4,8 @@ because a command, a demo or a benchmark workload runs it.
 A name counts as used when the command line, a demo or the benchmark's
 workloads name it in their source, or when the benchmark's tracer lists it
 in ``LAYERS``, which it rebinds by name.  The sources are read with ``ast``,
-never imported.
+never imported.  The command line's failure rule is read the same way: one
+boundary turns library errors into exit codes.
 """
 
 import ast
@@ -53,3 +54,24 @@ def test_every_public_function_is_run_by_a_command_demo_or_workload():
     assert functions
     unused = sorted(set(functions) - used)
     assert not unused, f"public functions no command, demo or workload runs: {unused}"
+
+
+def test_cli_maps_library_errors_at_one_boundary():
+    # an except clause that raises CliError restates _fails_as; parse_trace_csv
+    # keeps its own, whose message leaves out the error text
+    path = ROOT / "src" / "l1subspace" / "cli.py"
+    exempt = {"_fails_as", "parse_trace_csv", "main"}
+    restated = [
+        f"{function.name}:{handler.lineno}"
+        for function in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(function, ast.FunctionDef) and function.name not in exempt
+        for handler in ast.walk(function)
+        if isinstance(handler, ast.ExceptHandler)
+        and any(
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "CliError"
+            for node in ast.walk(handler)
+        )
+    ]
+    assert not restated, f"except clauses that raise CliError outside _fails_as: {restated}"
