@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, objective_l
+from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, _fro_norm, objective_l
 from .data import (
     GrayImage,
     _read,
@@ -61,7 +61,7 @@ from .errors import (
     ShapeError,
 )
 from .linalg import random_stiefel
-from .metrics import choose_k_energy, clustering_accuracy, kmeans, l2_baseline_energy, reconstruct, tev
+from .metrics import choose_k_energy, clustering_accuracy, kmeans, reconstruct, tev
 from .solvers import (
     RunReport,
     RunTrace,
@@ -428,7 +428,6 @@ def cmd_bench(resolved: dict, out: str) -> None:
             X, _ = gen_synthetic(
                 resolved["d"], resolved["n"], resolved["k"], resolved["sigma"], data_seed
             )
-        baseline = l2_baseline_energy(X, resolved["k"])
         for variant in variants:
             gamma = 0.0 if variant == "palm" else base_config.gamma
             config = dataclasses.replace(base_config, gamma=gamma)
@@ -447,7 +446,7 @@ def cmd_bench(resolved: dict, out: str) -> None:
                 report = _run_solver(X, config, resolved["k"], data_seed + 7919)
                 record.update(
                     status="ok",
-                    tev=tev(X, report.final_Q, baseline=baseline),
+                    tev=tev(X, report.final_Q),
                     iterations=report.iterations,
                     wall_time=report.wall_time,
                     stop_reason=report.stop_reason,
@@ -676,6 +675,8 @@ def cmd_check(resolved: dict, out: None) -> None:
             raise CliError(EXIT_DATA, f"corrupt report: {key!r} is not a string")
     if stored_config.get("data") is None and stored_config.get("libsvm") is None:
         raise CliError(EXIT_DATA, "report config names no dataset; pass --data")
+    if stored_config.get("data") is not None and stored_config.get("libsvm") is not None:
+        raise CliError(EXIT_DATA, "corrupt report: config names both 'data' and 'libsvm'")
     X = load_feature_matrix(stored_config)
     with _fails_as(EXIT_DATA, "corrupt run artifacts",
                    OSError, ParseError, FeasibilityError, ShapeError, NumericError):
@@ -692,7 +693,7 @@ def cmd_check(resolved: dict, out: None) -> None:
 
     checks: list[tuple[str, bool, str]] = []
 
-    bound = 1e-5 * (1.0 + float(np.linalg.norm(X.values)))
+    bound = 1e-5 * (1.0 + _fro_norm(X.values))
     stale = sign_mismatch(final_Q, final_P, X)
     if stale.size:
         detail = (
@@ -712,7 +713,7 @@ def cmd_check(resolved: dict, out: None) -> None:
         checks.append(("criticality", False, detail))
     else:
         residual = criticality_residual(final_Q, final_P, X)
-        # an overflowing norm makes both infinite, and inf <= inf proves nothing
+        # a norm too large for a float is infinite, and inf <= inf proves nothing
         finite = math.isfinite(residual) and math.isfinite(bound)
         detail = f"residual {residual:.3e} vs bound {bound:.3e}"
         if not finite:

@@ -7,22 +7,25 @@ max(t, -t) entrywise turns this into minimizing
     H(P, Q) = -<P, X^T Q Q^T>
 
 jointly over sign matrices P and Stiefel points Q.  This module holds the
-shared value types and the two objectives.  Heavier linear algebra lives
-in :mod:`l1subspace.linalg`, the alternating scheme, sign step included, in
-:mod:`l1subspace.solvers`.
+shared value types, the two objectives and the one place that calls
+LAPACK's SVD.  Heavier linear algebra lives in :mod:`l1subspace.linalg`, the
+alternating scheme, sign step included, in :mod:`l1subspace.solvers`.
 
 All array-valued types copy their input and freeze it read-only, so instances
-can be shared freely between threads and runs.
+can be shared freely between threads and runs.  A :class:`DataMatrix` also
+keeps its spectrum, filled lazily and read-only once filled (see there).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     DomainError,
     FeasibilityError,
     NumericError,
@@ -47,6 +50,31 @@ def _matrix(M, what):
     if not np.all(np.isfinite(A)):
         raise NumericError(f"{what} has non-finite entries")
     return A
+
+
+def _svd(A, op, compute_uv=True):
+    """Thin SVD of A, or its singular values alone; a LAPACK failure to
+    converge is a ConvergenceError that names ``op``."""
+    try:
+        return np.linalg.svd(A, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{op}: LAPACK SVD did not converge ({exc})") from None
+
+
+def _fro_norm(A: np.ndarray) -> float:
+    """||A||_F of a finite array, finite whenever the norm itself is.
+
+    A is scaled by the power of two just above max |a| before squaring, as
+    LAPACK's dnrm2 scales by max |a|, so no square overflows and the largest
+    do not underflow.  A power of two scales exactly, so wherever the
+    unscaled squares stay in range the result is bit for bit
+    ``np.linalg.norm(A)``.
+    """
+    big = max(-float(A.min()), float(A.max()))
+    if big == 0.0:
+        return 0.0
+    e = math.frexp(big)[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(A, -e))), e)
 
 
 def _frozen_array(obj, field, raw):
@@ -74,6 +102,12 @@ class DataMatrix:
     centered : bool
         If True, every row mean must vanish up to a relative tolerance of
         ``CENTERING_TOL``.
+
+    The spectrum of X is computed on first use and kept, so every reader of
+    X's singular values shares one SVD: ``_sigma`` for the singular values
+    alone, ``_factor`` for the thin factor that theory mode needs.  Both are
+    read-only.  Two threads that fill the same entry at once at most compute
+    it twice, and LAPACK returns the same value both times.
     """
 
     values: np.ndarray
@@ -93,6 +127,29 @@ class DataMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[1]
+
+    @functools.cached_property
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """sigma and Sigma V^T from the thin SVD X = U Sigma V^T.
+
+        Sigma V^T is r x n with r = min(d, n).  U has orthonormal columns, so
+        ||X M||_2 = ||(Sigma V^T) M||_2 for every M with n rows.
+        """
+        _, sigma, Vt = _svd(self.values, "data factorization")
+        SVt = sigma[:, None] * Vt
+        sigma.setflags(write=False)
+        SVt.setflags(write=False)
+        return sigma, SVt
+
+    @functools.cached_property
+    def _sigma(self) -> np.ndarray:
+        """All min(d, n) singular values, nonincreasing: the factor's when it
+        exists, otherwise from an SVD that computes no vectors."""
+        if "_factor" in self.__dict__:
+            return self._factor[0]
+        sigma = _svd(self.values, "singular values", compute_uv=False)
+        sigma.setflags(write=False)
+        return sigma
 
 
 @dataclass(frozen=True)
@@ -144,8 +201,13 @@ class StiefelPoint:
         return self.values.shape[1]
 
 
+def _is_number(value) -> bool:
+    """A real int or float; a bool is an int to Python but not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _positive_finite(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    if not (_is_number(value) and math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be a positive finite number, got {value!r}")
 
 
@@ -197,9 +259,10 @@ class SolverConfig:
         _positive_finite("tol", self.tol)
         if not isinstance(self.beta_mode, (FixedBeta, AdaptiveBeta)):
             raise DomainError("beta_mode must be FixedBeta or AdaptiveBeta")
-        if not (isinstance(self.gamma, (int, float)) and 0.0 <= self.gamma <= 1.0):
+        if not (_is_number(self.gamma) and 0.0 <= self.gamma <= 1.0):
             raise DomainError(f"gamma must lie in [0, 1], got {self.gamma!r}")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
+        if not (isinstance(self.max_iters, int) and not isinstance(self.max_iters, bool)
+                and self.max_iters >= 1):
             raise DomainError(f"max_iters must be a positive integer, got {self.max_iters!r}")
         if not isinstance(self.theory_mode, bool):
             raise DomainError(f"theory_mode must be a bool, got {self.theory_mode!r}")

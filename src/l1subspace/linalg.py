@@ -1,26 +1,21 @@
 """Dense factorizations used by the solvers: polar factor, spectral norm
 and singular values.
 
-Every factorization is one LAPACK SVD through ``np.linalg.svd``.  The polar
+Every factorization is one LAPACK SVD through ``core._svd``, which turns a
+LAPACK failure to converge into :class:`ConvergenceError`.  The polar
 factor U V^T of the thin SVD is the orthogonal Procrustes solution (Higham,
 "Computing the polar decomposition -- with applications", 1986), and the
-spectral norm is the largest singular value.  A LAPACK failure to converge
-surfaces as :class:`ConvergenceError`.
+spectral norm is the largest singular value.  The singular values of a data
+matrix are not computed here: they are the spectrum that the
+:class:`DataMatrix` keeps, taken once however many readers ask.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DataMatrix, StiefelPoint, _matrix
-from .errors import ConvergenceError, ShapeError
-
-
-def _svd(A, op, compute_uv=True):
-    try:
-        return np.linalg.svd(A, full_matrices=False, compute_uv=compute_uv)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"{op}: LAPACK SVD did not converge ({exc})") from None
+from .core import DataMatrix, StiefelPoint, _matrix, _svd
+from .errors import ShapeError
 
 
 def polar_factor(M) -> np.ndarray:
@@ -44,8 +39,9 @@ def spectral_norm(M) -> float:
 
 
 def singular_values(X: DataMatrix) -> np.ndarray:
-    """All min(d, n) singular values of X, nonincreasing."""
-    return _svd(X.values, "singular_values", compute_uv=False)
+    """All min(d, n) singular values of X, nonincreasing, as a read-only
+    array: X's cached spectrum, computed on the first call."""
+    return X._sigma
 
 
 def random_stiefel(d: int, k: int, seed) -> StiefelPoint:

@@ -9,6 +9,7 @@ energy rule for choosing the subspace dimension, and rank-K reconstruction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,28 +49,24 @@ class RateFit:
             raise DomainError(f"r2 = {self.r2} outside [0, 1]")
 
 
-def l2_baseline_energy(X: DataMatrix, k: int) -> float:
-    """Best rank-k captured energy: sum of the k largest squared singular
-    values of X, equal to ||X^T Qbar||_F^2 for the dominant left basis Qbar."""
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= min(X.d, X.n)):
-        raise DomainError(f"k must be in 1..{min(X.d, X.n)}, got {k!r}")
-    s = singular_values(X)
-    return float(np.sum(s[:k] ** 2))
-
-
-def tev(X: DataMatrix, Q: StiefelPoint, *, baseline: float | None = None) -> float:
+def tev(X: DataMatrix, Q: StiefelPoint) -> float:
     """Total explained variance ||X^T Q||_F^2 / ||X^T Qbar||_F^2 relative to
     the best subspace of the same dimension.
 
-    ``baseline`` short-circuits the denominator when the caller has already
-    computed l2_baseline_energy(X, Q.k); X = 0 is a domain error.
+    The denominator is the sum of the K largest squared singular values of
+    X, read from X's cached spectrum.  Both energies are formed from values
+    scaled by 2^-e for the power of two 2^e just above sigma_1: those lie
+    below 1 in magnitude, so no square overflows, and a power of two scales
+    exactly, so the ratio is bit for bit the unscaled one wherever that is
+    finite.  X = 0 is a domain error.
     """
     _fit(X, Q)
-    if baseline is None:
-        baseline = l2_baseline_energy(X, Q.k)
-    if not baseline > 0.0:
+    s = singular_values(X)
+    if not s[0] > 0.0:
         raise DomainError("baseline energy is zero; X must be nonzero")
-    captured = float(np.sum((X.values.T @ Q.values) ** 2))
+    e = -math.frexp(float(s[0]))[1]
+    baseline = float(np.sum(np.ldexp(s[: Q.k], e) ** 2))
+    captured = float(np.sum(np.ldexp(X.values.T @ Q.values, e) ** 2))
     return captured / baseline
 
 
@@ -280,14 +277,17 @@ def clustering_accuracy(pred, truth) -> float:
 
 def choose_k_energy(X: DataMatrix, threshold: float = 0.8) -> int:
     """Smallest dimension whose squared singular values capture at least
-    ``threshold`` of the total."""
+    ``threshold`` of the total.
+
+    The singular values are X's cached spectrum, scaled as in ``tev``.
+    """
     if not (isinstance(threshold, (int, float)) and 0.0 < threshold <= 1.0):
         raise DomainError(f"threshold must lie in (0, 1], got {threshold!r}")
     s = singular_values(X)
-    cum = np.cumsum(s**2)
-    total = float(cum[-1])
-    if total <= 0.0:
+    if not s[0] > 0.0:
         raise DomainError("X is zero; no energy to capture")
+    cum = np.cumsum(np.ldexp(s, -math.frexp(float(s[0]))[1]) ** 2)
+    total = float(cum[-1])
     reached = cum >= threshold * total * (1.0 - 1e-12)
     return int(np.argmax(reached)) + 1
 

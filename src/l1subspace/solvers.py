@@ -36,9 +36,11 @@ keeps its beta.  The closing criticality residual likewise reuses the last
 P Q.
 
 Theory mode's adaptive beta needs ||XP||_2 as well.  With the thin SVD
-X = U Sigma V^T, taken once per run, that is ||(Sigma V^T) P||_2, the norm
-of an r x d matrix with r = min(d, n): O(r n d), evaluated once per sweep
-that flips a sign.
+X = U Sigma V^T that is ||(Sigma V^T) P||_2, the norm of an r x d matrix
+with r = min(d, n): O(r n d), evaluated once per sweep that flips a sign.
+The factor Sigma V^T and sigma_1 = ||X||_2, which caps gamma, come from the
+spectrum that the DataMatrix keeps (``DataMatrix._factor``): one SVD of
+X, taken on first use, serves every run on that X.
 
 Two parameter regimes are supported.  The practical regime takes a fixed
 Q-step parameter beta and any gamma in [0, 1].  The theory regime derives
@@ -62,6 +64,7 @@ from .core import (
     SolverConfig,
     StiefelPoint,
     _fit,
+    _fro_norm,
     _objective_l,
     _positive_finite,
     h_from_factors,
@@ -74,7 +77,7 @@ from .errors import (
     SelectionError,
     ShapeError,
 )
-from .linalg import _svd, polar_factor, spectral_norm
+from .linalg import polar_factor, spectral_norm
 
 # iterations whose index exceeds this are snapshot-thinned to every tenth
 SNAPSHOT_DENSE_LIMIT = 10_000
@@ -265,16 +268,6 @@ def update_Q(Q: StiefelPoint, P_next: SignMatrix, X: DataMatrix, beta: float) ->
     return Q if Q_next is Q.values else StiefelPoint(Q_next)
 
 
-def _data_factor(X: np.ndarray) -> tuple[float, np.ndarray]:
-    """sigma_1 = ||X||_2 and Sigma V^T from the thin SVD X = U Sigma V^T.
-
-    Sigma V^T is r x n with r = min(d, n).  U has orthonormal columns, so
-    ||X M||_2 = ||(Sigma V^T) M||_2 for every M with n rows.
-    """
-    _, sigma, Vt = _svd(X, "data factorization")
-    return float(sigma[0]), sigma[:, None] * Vt
-
-
 def _gamma_cap(alpha_star: float, beta_star: float, sigma1: float) -> float:
     """gamma* of ``gamma_star`` from sigma_1 = ||X||_2."""
     if sigma1 == 0.0:
@@ -296,8 +289,7 @@ def gamma_star(alpha_star: float, beta_star: float, X: DataMatrix) -> float:
     """Extrapolation cap gamma* = min(1, alpha_star beta_star / (8 ||X||^2))."""
     _positive_finite("alpha_star", alpha_star)
     _positive_finite("beta_star", beta_star)
-    sigma1 = float(_svd(X.values, "data factorization", compute_uv=False)[0])
-    return _gamma_cap(alpha_star, beta_star, sigma1)
+    return _gamma_cap(alpha_star, beta_star, float(X._sigma[0]))
 
 
 def adaptive_beta(X: DataMatrix, P: SignMatrix, beta_star: float, beta_sup: float) -> float:
@@ -308,7 +300,7 @@ def adaptive_beta(X: DataMatrix, P: SignMatrix, beta_star: float, beta_sup: floa
     """
     AdaptiveBeta(beta_star, beta_sup)
     _fit(X, P=P)
-    return _beta(_data_factor(X.values)[1], P.values, beta_star, beta_sup)
+    return _beta(X._factor[1], P.values, beta_star, beta_sup)
 
 
 def _agreement(XtQ: np.ndarray, Q: np.ndarray, P: np.ndarray, out=None) -> np.ndarray:
@@ -343,8 +335,7 @@ def _residual(
     and, when given, P Q."""
     G = -_s_times(X, P, Q, XtQ, PQ)
     QtG = Q.T @ G
-    R = G - Q @ ((QtG + QtG.T) / 2.0)
-    return float(np.linalg.norm(R))
+    return _fro_norm(G - Q @ ((QtG + QtG.T) / 2.0))
 
 
 def sign_mismatch(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> np.ndarray:
@@ -452,10 +443,10 @@ def solve(
     adaptive = isinstance(bm, AdaptiveBeta)
     if adaptive:
         # beta(P) of each sweep is beta(P_next) of the sweep before
-        sigma1, SVt = _data_factor(Xv)
+        sigma, SVt = X._factor
         beta_P = _beta(SVt, P, bm.beta_star, bm.beta_sup)
     if config.theory_mode:
-        gs = _gamma_cap(config.alpha, bm.beta_star, sigma1)
+        gs = _gamma_cap(config.alpha, bm.beta_star, float(sigma[0]))
         gamma = max(0.0, min(gamma, gs - GAMMA_MARGIN))
         assert gamma < gs
         trace.gamma_star = gs

@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -397,26 +398,26 @@ class TestSolve:
         assert "solver rejected the setup" in err
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflowing_norms_are_null_and_fail_check(self, tmp_path, capsys):
-        # the objective is finite at this scale, but ||X||_F and the
-        # criticality residual overflow: the report stores null, not the
-        # non-JSON Infinity, and inf <= inf is no pass
+    def test_overflowing_norms_stay_finite(self, tmp_path, capsys):
+        # ||X||_F, the criticality residual and the energies behind tev
+        # square to beyond the float range at this scale; scaled before
+        # squaring they stay finite, so the report stores numbers and check
+        # can compare them
         data = tmp_path / "big.csv"
         write_csv_matrix(np.random.default_rng(0).standard_normal((5, 20)) * 1e200, data)
         out = tmp_path / "run"
-        assert run_cli("solve", "--out", out, "--data", data, "--k", 2, "--beta", 5) == 0
-
-        def reject(constant):
-            raise ValueError(f"non-JSON constant {constant}")
-
-        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
-        assert report["results"]["criticality"] is None
-        capsys.readouterr()
-        assert run_cli("check", "--run", out) == 5
-        printed = capsys.readouterr().out
-        assert "criticality: PASS" not in printed
-        assert "criticality: FAIL" in printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("solve", "--out", out, "--data", data, "--k", 2, "--beta", 5) == 0
+            results = json.loads((out / "report.json").read_text())["results"]
+            assert np.isfinite(results["criticality"])
+            assert 0.0 < results["tev"] <= 1.0
+            capsys.readouterr()
+            assert run_cli("check", "--run", out) == 0
+        captured = capsys.readouterr()
+        assert "report consistency: PASS" in captured.out
+        assert "criticality: PASS" in captured.out
+        assert "Warning" not in captured.err
 
     def test_failed_factorization_is_solver_error(self, tmp_path, small_csv,
                                                   monkeypatch, capsys):
@@ -907,6 +908,25 @@ class TestCheck:
         assert run_cli("check", "--run", theory_run) == 3
         assert "theory_mode must be a bool" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["gamma", "max_iters", "alpha"])
+    def test_boolean_number_is_corrupt(self, finished_run, key, capsys):
+        # true is no number, although Python counts a bool as an int
+        path = finished_run / "report.json"
+        report = json.loads(path.read_text())
+        report["config"][key] = True
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", finished_run) == 3
+        assert "error: corrupt report config" in capsys.readouterr().err
+
+    def test_report_naming_both_datasets_is_corrupt(self, finished_run, small_csv, capsys):
+        path = finished_run / "report.json"
+        report = json.loads(path.read_text())
+        report["config"]["libsvm"] = str(small_csv)
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", finished_run) == 3
+        assert capsys.readouterr().err == (
+            "error: corrupt report: config names both 'data' and 'libsvm'\n")
+
     def test_undecodable_report_is_corrupt(self, finished_run, capsys):
         report = finished_run / "report.json"
         insert_undecodable_byte(report, report)
@@ -1021,6 +1041,53 @@ def test_library_error_is_mapped_to_its_exit_code(tmp_path, mapped_inputs, args,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {prefix}: ")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# SVDs of the data matrix
+
+THEORY = "--beta-star 1 --beta-sup 1e9 --theory --max-iters 50"
+
+# each command's SVDs of its d x n data matrix X, in order: True for a
+# factorization with vectors (theory mode's Sigma V^T), False for the
+# singular values alone (tev, the energy rule, gamma* in check);
+# (argv, shape of X, compute_uv of each SVD of X)
+SVD_COUNTS = {
+    "solve": ("solve --out {out} --data {X} --k 2 --beta 20", (20, 60), [False]),
+    "theory-solve": (f"solve --out {{out}} --data {{X}} --k 2 {THEORY}", (20, 60), [True]),
+    "theory-check": ("check --run {theory_run}", (20, 60), [False]),
+    "cluster": ("cluster --out {out} --libsvm {svm} --beta 20 --reps 2", (10, 60), [False]),
+    "theory-cluster": (f"cluster --out {{out}} --libsvm {{svm}} --reps 10 {THEORY}",
+                       (10, 60), [False, True]),
+    "theory-bench": (f"bench --out {{out}} --d 6 --n 40 --k 2 --sigma 0.5 --reps 3 {THEORY}",
+                     (6, 40), [True, True, True]),
+}
+
+
+@pytest.mark.parametrize("args,shape,want", SVD_COUNTS.values(), ids=SVD_COUNTS)
+def test_each_command_factorizes_each_dataset_once(tmp_path, small_csv, blobs_libsvm,
+                                                   monkeypatch, args, shape, want):
+    # every reader of X's singular values shares X's cached spectrum; the
+    # factor with vectors is taken only where theory mode needs Sigma V^T
+    theory_run = tmp_path / "theory"
+    if "{theory_run}" in args:
+        # a run that ends within check's criticality bound, so check passes
+        argv = (f"solve --out {theory_run} --data {small_csv} --k 2 {THEORY} "
+                "--max-iters 500 --tol 1e-10 --seed 2").split()
+        assert run_cli(*argv) == 0
+    real_svd = np.linalg.svd
+    seen = []
+
+    def counting_svd(a, *rest, **kwargs):
+        if np.shape(a) == shape:
+            seen.append(kwargs.get("compute_uv", True))
+        return real_svd(a, *rest, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    argv = args.format(out=tmp_path / "out", X=small_csv, svm=blobs_libsvm,
+                       theory_run=theory_run).split()
+    assert run_cli(*argv) == 0
+    assert seen == want
 
 
 # ---------------------------------------------------------------------------

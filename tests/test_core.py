@@ -8,6 +8,7 @@ from l1subspace.core import (
     SignMatrix,
     SolverConfig,
     StiefelPoint,
+    _fro_norm,
     objective_h,
     objective_l,
 )
@@ -277,6 +278,32 @@ def test_config_validation():
     cfg = SolverConfig(alpha=1e-6, beta_mode=AdaptiveBeta(1.0, 100.0), theory_mode=True)
     assert cfg.beta_star == 1.0
     assert SolverConfig(alpha=1.0, beta_mode=FixedBeta(2.5)).beta_star == 2.5
+
+
+def test_fro_norm_scales_by_a_power_of_two():
+    A = np.random.default_rng(5).standard_normal((7, 11))
+    # in range: the same bits as the unscaled norm
+    assert _fro_norm(A) == np.linalg.norm(A)
+    assert _fro_norm(np.zeros((2, 3))) == 0.0
+    # the squares overflow or underflow at these scales; the norm does not
+    for scale in (1e200, 1e-200):
+        with np.errstate(over="raise"):
+            assert _fro_norm(A * scale) == pytest.approx(np.linalg.norm(A) * scale, rel=1e-14)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SolverConfig(alpha=True, beta_mode=FixedBeta(1.0)),
+    lambda: SolverConfig(alpha=1e-6, beta_mode=FixedBeta(1.0), gamma=True),
+    lambda: SolverConfig(alpha=1e-6, beta_mode=FixedBeta(1.0), gamma=False),
+    lambda: SolverConfig(alpha=1e-6, beta_mode=FixedBeta(1.0), max_iters=True),
+    lambda: SolverConfig(alpha=1e-6, beta_mode=FixedBeta(1.0), tol=True),
+    lambda: FixedBeta(True),
+    lambda: AdaptiveBeta(True, 2.0),
+], ids=["alpha", "gamma", "gamma-false", "max_iters", "tol", "FixedBeta", "AdaptiveBeta"])
+def test_bool_is_not_a_number(build):
+    # isinstance(True, int) holds, so each check must name bool explicitly
+    with pytest.raises(DomainError):
+        build()
 
 
 # ---------------------------------------------------------------------------

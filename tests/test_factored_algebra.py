@@ -21,7 +21,6 @@ from l1subspace.errors import NumericError
 from l1subspace.linalg import polar_factor, spectral_norm
 from l1subspace.solvers import (
     _beta,
-    _data_factor,
     _s_times,
     _sign_step,
     _xt_extrapolated,
@@ -107,9 +106,9 @@ def test_factored_beta_matches_dense_norm(problem, dropped):
     U, sigma, Vt = np.linalg.svd(X.values, full_matrices=False)
     sigma[sigma.size - min(dropped, sigma.size):] = 0.0
     values = (U * sigma) @ Vt
-    sigma1, SVt = _data_factor(values)
+    sigma, SVt = DataMatrix(values)._factor
     assert SVt.shape == (min(X.d, X.n), X.n)
-    assert_close(sigma1, spectral_norm(values))
+    assert_close(sigma[0], spectral_norm(values))
     want = 1.5 * 2.0 + 2.0 * spectral_norm(values @ P.values)
     assert_close(_beta(SVt, P.values, 2.0, math.inf), want)
 

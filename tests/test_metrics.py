@@ -19,7 +19,6 @@ from l1subspace import (
     fit_linear_rate,
     gap_traces,
     kmeans,
-    l2_baseline_energy,
     random_stiefel,
     reconstruct,
     solve,
@@ -71,12 +70,35 @@ class TestTev:
         after = tev(X, StiefelPoint(Q.values @ U))
         assert after == pytest.approx(before, abs=1e-12)
 
-    def test_precomputed_baseline_matches(self):
+    def test_shares_the_cached_spectrum(self, monkeypatch):
+        # the baseline is X's cached spectrum: one values-only SVD of X
+        # serves every tev and the energy rule, and matches the plain formula
         rng = np.random.default_rng(3)
         X = random_centered(9, 15, rng)
         Q = random_stiefel(9, 2, seed=7)
-        base = l2_baseline_energy(X, 2)
-        assert tev(X, Q, baseline=base) == tev(X, Q)
+        s = np.linalg.svd(X.values, compute_uv=False)
+        want = float(np.sum((X.values.T @ Q.values) ** 2)) / float(np.sum(s[:2] ** 2))
+        real_svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert tev(X, Q) == want
+        assert tev(X, Q) == want
+        choose_k_energy(X)
+        assert calls == [False]
+
+    def test_huge_data_gives_the_scaled_ratio(self):
+        # ||X^T Q||_F^2 overflows at this scale, but the ratio is scale-free
+        rng = np.random.default_rng(8)
+        X = random_centered(6, 20, rng)
+        Q = random_stiefel(6, 2, seed=9)
+        with np.errstate(over="raise"):
+            huge = tev(DataMatrix(X.values * 1e200), Q)
+        assert huge == pytest.approx(tev(X, Q), rel=1e-12)
 
     def test_zero_matrix_is_domain_error(self):
         X = DataMatrix(np.zeros((4, 6)))
@@ -432,6 +454,12 @@ class TestChooseKEnergy:
         rng = np.random.default_rng(14)
         low_rank = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 5))
         assert choose_k_energy(DataMatrix(low_rank), threshold=1.0) == 2
+
+    def test_huge_data_picks_the_same_dimension(self):
+        # the squared singular values overflow at this scale; their shares do not
+        X = DataMatrix(np.diag([3.0, 2.0, 1.0]) * 1e200)
+        with np.errstate(over="raise"):
+            assert choose_k_energy(X, threshold=0.8) == 2
 
     def test_rank_one_always_one(self):
         X = DataMatrix(np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]))

@@ -30,7 +30,6 @@ from l1subspace.metrics import reconstruct, tev
 from l1subspace.solvers import (
     ZERO_TOL,
     _beta,
-    _data_factor,
     _gamma_cap,
     _q_step,
     _s_times,
@@ -668,10 +667,10 @@ def _reference_solve(X, config, init_Q):
     bm = config.beta_mode
     adaptive = isinstance(bm, AdaptiveBeta)
     if adaptive:
-        sigma1, SVt = _data_factor(Xv)
+        sigma, SVt = X._factor
         beta_P = _beta(SVt, P, bm.beta_star, bm.beta_sup)
     if config.theory_mode:
-        gs = _gamma_cap(config.alpha, bm.beta_star, sigma1)
+        gs = _gamma_cap(config.alpha, bm.beta_star, float(sigma[0]))
         gamma = max(0.0, min(gamma, gs - solvers.GAMMA_MARGIN))
         trace.gamma_star = gs
     iterations = 0
