@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, _fro_norm, objective_l
+from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, _fro_norm, _is_number, _number, objective_l
 from .data import (
     GrayImage,
     _read,
@@ -174,24 +174,28 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
             resolved[key] = default
     if resolved.get("seed", 0) < 0:
         raise CliError(EXIT_CONFIG, f"seed must be a nonnegative integer, got {resolved['seed']}")
-    if not 0.0 < resolved.get("threshold", 1.0) <= 1.0:
-        raise CliError(EXIT_CONFIG, f"threshold must lie in (0, 1], got {resolved['threshold']!r}")
+    with _fails_as(EXIT_CONFIG, "invalid settings", DomainError):
+        _number("threshold", resolved.get("threshold", 1.0), 0.0, 1.0)
     if resolved.get("reps", 1) < 1:
         raise CliError(EXIT_CONFIG, "reps must be at least 1")
     return resolved
 
 
-def _format_config_value(value) -> str:
+def _cell(value) -> str:
+    """A value as written to config.txt and the CSV files: empty for None,
+    true or false for a bool, full precision for a float."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
 def write_resolved_config(out_dir: str, resolved: dict) -> None:
     lines = [
-        f"{key} = {_format_config_value(value)}"
+        f"{key} = {_cell(value)}"
         for key, value in sorted(resolved.items())
         if value is not None
     ]
@@ -257,23 +261,12 @@ def load_feature_matrix(resolved: dict) -> DataMatrix:
 
 
 def trace_csv_text(trace: RunTrace) -> str:
-    def step(value: float) -> str:
-        return "" if math.isnan(value) else repr(float(value))
-
+    """trace.csv's text; a step column writes nan, as at iterate 0, as an empty cell."""
     lines = [TRACE_HEADER]
     for k in range(len(trace.phi)):
-        lines.append(
-            ",".join(
-                (
-                    str(k),
-                    repr(float(trace.phi[k])),
-                    repr(float(trace.h[k])),
-                    step(trace.dP[k]),
-                    step(trace.dQ[k]),
-                    step(trace.gap[k]),
-                )
-            )
-        )
+        steps = (trace.dP[k], trace.dQ[k], trace.gap[k])
+        cells = (k, trace.phi[k], trace.h[k], *(None if math.isnan(s) else s for s in steps))
+        lines.append(",".join(map(_cell, cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -409,14 +402,6 @@ def cmd_solve(resolved: dict, out: str) -> None:
 # bench
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def cmd_bench(resolved: dict, out: str) -> None:
     variants = ("palme", "palm")
     base_config = build_solver_config(resolved)
@@ -470,7 +455,7 @@ def cmd_bench(resolved: dict, out: str) -> None:
                       "status": "ok", "stop_reason": "", "error": ""})
         summary.append(f"{variant}: mean tev {mean['tev']:.6f} over {len(good)} runs")
     lines = [",".join(header)]
-    lines += [",".join(_csv_cell(row[col]) for col in header) for row in table]
+    lines += [",".join(_cell(row[col]) for col in header) for row in table]
     _write(("\n".join(lines) + "\n").encode("utf-8"), os.path.join(out, "bench.csv"))
 
     by_rep = {(row["variant"], row["rep"]): row for row in rows if row["status"] == "ok"}
@@ -479,7 +464,7 @@ def cmd_bench(resolved: dict, out: str) -> None:
         a, b = by_rep.get(("palme", rep)), by_rep.get(("palm", rep))
         if a is not None and b is not None:
             cells = (rep, a["data_seed"], a["tev"], b["tev"], a["tev"] - b["tev"])
-            paired.append(",".join(_csv_cell(cell) for cell in cells))
+            paired.append(",".join(_cell(cell) for cell in cells))
     _write(("\n".join(paired) + "\n").encode("utf-8"), os.path.join(out, "paired.csv"))
 
     write_resolved_config(out, resolved)
@@ -651,7 +636,7 @@ def _stored_number(results: dict, key: str) -> float | None:
     value = results.get(key)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise CliError(EXIT_DATA, f"corrupt report: {key!r} is not a number")
     return float(value)
 

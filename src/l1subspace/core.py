@@ -7,9 +7,11 @@ max(t, -t) entrywise turns this into minimizing
     H(P, Q) = -<P, X^T Q Q^T>
 
 jointly over sign matrices P and Stiefel points Q.  This module holds the
-shared value types, the two objectives and the one place that calls
-LAPACK's SVD.  Heavier linear algebra lives in :mod:`l1subspace.linalg`, the
-alternating scheme, sign step included, in :mod:`l1subspace.solvers`.
+shared value types, the two objectives, the one place that calls LAPACK's
+SVD and the one rule for scalar arguments (``_count``, ``_number``): a count
+is an int or a numpy integer, a number a count or a float, a bool neither.
+Heavier linear algebra lives in :mod:`l1subspace.linalg`, the alternating
+scheme, sign step included, in :mod:`l1subspace.solvers`.
 
 All array-valued types copy their input and freeze it read-only, so instances
 can be shared freely between threads and runs.  A :class:`DataMatrix` also
@@ -201,14 +203,30 @@ class StiefelPoint:
         return self.values.shape[1]
 
 
+def _is_count(value) -> bool:
+    """An int or a numpy integer; a bool is an int to Python but not a count here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_number(value) -> bool:
-    """A real int or float; a bool is an int to Python but not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A count or a float: np.float64, not np.float32, so step sizes stay float64."""
+    return _is_count(value) or isinstance(value, float)
 
 
-def _positive_finite(name, value):
-    if not (_is_number(value) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be a positive finite number, got {value!r}")
+def _count(name, value, low=1, high=math.inf):
+    """Raise DomainError unless value is a count in low..high."""
+    if not (_is_count(value) and low <= value <= high):
+        span = f"in {low}..{high}" if high < math.inf else f">= {low}"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def _number(name, value, low=0.0, high=math.inf, *, open_low=True):
+    """Raise DomainError unless value is a finite number in (low, high], or in
+    [low, high] when not ``open_low``; by default a positive finite number."""
+    if not (_is_number(value) and (low < value if open_low else low <= value)
+            and value <= high and value < math.inf):
+        left, right = "(" if open_low else "[", ")" if high == math.inf else "]"
+        raise DomainError(f"{name} must lie in {left}{low:g}, {high:g}{right}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -218,7 +236,7 @@ class FixedBeta:
     value: float
 
     def __post_init__(self):
-        _positive_finite("beta", self.value)
+        _number("beta", self.value)
 
 
 @dataclass(frozen=True)
@@ -229,8 +247,8 @@ class AdaptiveBeta:
     beta_sup: float
 
     def __post_init__(self):
-        _positive_finite("beta_star", self.beta_star)
-        _positive_finite("beta_sup", self.beta_sup)
+        _number("beta_star", self.beta_star)
+        _number("beta_sup", self.beta_sup)
         if self.beta_sup < self.beta_star:
             raise DomainError(
                 f"beta_sup = {self.beta_sup} is below beta_star = {self.beta_star}"
@@ -255,15 +273,12 @@ class SolverConfig:
     theory_mode: bool = False
 
     def __post_init__(self):
-        _positive_finite("alpha", self.alpha)
-        _positive_finite("tol", self.tol)
+        _number("alpha", self.alpha)
+        _number("tol", self.tol)
         if not isinstance(self.beta_mode, (FixedBeta, AdaptiveBeta)):
             raise DomainError("beta_mode must be FixedBeta or AdaptiveBeta")
-        if not (_is_number(self.gamma) and 0.0 <= self.gamma <= 1.0):
-            raise DomainError(f"gamma must lie in [0, 1], got {self.gamma!r}")
-        if not (isinstance(self.max_iters, int) and not isinstance(self.max_iters, bool)
-                and self.max_iters >= 1):
-            raise DomainError(f"max_iters must be a positive integer, got {self.max_iters!r}")
+        _number("gamma", self.gamma, 0.0, 1.0, open_low=False)
+        _count("max_iters", self.max_iters)
         if not isinstance(self.theory_mode, bool):
             raise DomainError(f"theory_mode must be a bool, got {self.theory_mode!r}")
         if self.theory_mode and not isinstance(self.beta_mode, AdaptiveBeta):

@@ -18,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import DataMatrix, StiefelPoint, _frozen_array
+from .core import DataMatrix, StiefelPoint, _count, _frozen_array, _number
 from .errors import DomainError, ParseError, ShapeError
 from .linalg import polar_factor
 
@@ -98,13 +98,10 @@ def gen_synthetic(
     ``sigma`` (scale sigma / sqrt 2).  All randomness comes from one
     generator seeded with ``seed``.
     """
-    for name, value in (("d", d), ("n", n), ("k", k)):
-        if not (isinstance(value, (int, np.integer)) and value >= 1):
-            raise DomainError(f"{name} must be a positive integer, got {value!r}")
-    if k > min(d, n):
-        raise DomainError(f"k = {k} exceeds min(d, n) = {min(d, n)}")
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma >= 0):
-        raise DomainError(f"sigma must be nonnegative and finite, got {sigma!r}")
+    _count("d", d)
+    _count("n", n)
+    _count("k", k, 1, min(d, n))
+    _number("sigma", sigma, open_low=False)
     rng = np.random.default_rng(seed)
     Q_true = StiefelPoint(polar_factor(rng.standard_normal((d, k))))
     S = rng.standard_normal((k, n))
@@ -177,15 +174,15 @@ def parse_libsvm(source, n_features: int | None = None) -> LabeledDataset:
     """Parse LIBSVM text: one sample per line, ``label idx:val ...`` with
     1-based strictly increasing indices.
 
-    ``n_features`` fixes the dimension; otherwise the largest index seen is
-    used.  Labels must be integers; real-valued labels are rounded with a
-    warning.  Any malformed content raises ParseError naming the first bad
-    line.  So does an index too large for the dense (largest index) x n
-    array: one of 2**63 or more as a fault of its line, any other when
-    allocating the array fails (an ``n_features`` too large to allocate
-    raises numpy's own error).  Still open: an index that is large but not
-    absurd (10**9 asks for 8 GB a sample) can be allocated lazily under
-    memory overcommit and exhaust memory later, when the array is used.
+    A positive integer ``n_features`` fixes the dimension; otherwise the
+    largest index seen is used.  Labels must be integers; real-valued labels
+    are rounded with a warning.  Any malformed content raises ParseError
+    naming the first bad line.  So does an index too large for the dense
+    (largest index) x n array: one of 2**63 or more as a fault of its line,
+    any other when allocating the array fails (an ``n_features`` too large
+    to allocate raises numpy's own error).  Still open: an index that is
+    large but not absurd (10**9 asks for 8 GB a sample) can be allocated
+    lazily under memory overcommit and exhaust memory later, when used.
 
     Cost: O(entries) numpy work beyond the dense array, plus one Python
     ``int`` or ``float`` conversion per token.  All tokens are converted
@@ -193,6 +190,8 @@ def parse_libsvm(source, n_features: int | None = None) -> LabeledDataset:
     array is allocated; malformed input is re-read line by line to name its
     first error.
     """
+    if n_features is not None:
+        _count("n_features", n_features)
     text = _read(source)
     linenos: list[int] = []
     label_tokens: list[str] = []
@@ -456,8 +455,7 @@ def add_block_outliers(image: GrayImage, block_index: int, seed) -> np.ndarray:
     are not divisible by 6 are center-cropped with a warning so the grid and
     quadrants split exactly.
     """
-    if not (isinstance(block_index, (int, np.integer)) and 1 <= block_index <= 9):
-        raise DomainError(f"block_index must be in 1..9, got {block_index!r}")
+    _count("block_index", block_index, 1, 9)
     rng = np.random.default_rng(seed)
     px = _crop_to_multiple(image.pixels, 6).copy()
     bh, bw = px.shape[0] // 3, px.shape[1] // 3
@@ -498,6 +496,8 @@ def image_columns(images: list[GrayImage]) -> np.ndarray:
 
 def unstack_images(values, height: int, width: int) -> list[GrayImage]:
     """Inverse of image_columns: columns back to height x width images."""
+    _count("height", height)
+    _count("width", width)
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[0] != height * width:
         raise ShapeError(

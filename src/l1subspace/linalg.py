@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DataMatrix, StiefelPoint, _matrix, _svd
+from .core import DataMatrix, StiefelPoint, _count, _matrix, _svd
 from .errors import ShapeError
 
 
@@ -45,9 +45,11 @@ def singular_values(X: DataMatrix) -> np.ndarray:
 
 
 def random_stiefel(d: int, k: int, seed) -> StiefelPoint:
-    """Polar factor of a seeded d x k Gaussian draw.
+    """Polar factor of a seeded d x k Gaussian draw, 1 <= k <= d.
 
     ``seed`` is anything numpy's default_rng accepts, or an existing
     Generator, which is then advanced.
     """
+    _count("d", d)
+    _count("k", k, 1, d)
     return StiefelPoint(polar_factor(np.random.default_rng(seed).standard_normal((d, k))))

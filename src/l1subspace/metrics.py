@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataMatrix, StiefelPoint, _fit
+from .core import DataMatrix, StiefelPoint, _count, _fit, _number
 from .errors import DomainError, ShapeError
 from .linalg import singular_values
 from .solvers import RunTrace
@@ -41,12 +41,15 @@ class RateFit:
     window: range
 
     def __post_init__(self):
-        if not isinstance(self.window, range) or len(self.window) < 10:
-            raise DomainError(
-                f"window must be a range of at least 10 iterations, got {self.window!r}"
-            )
+        _window(self.window)
         if not 0.0 <= self.r2 <= 1.0:
             raise DomainError(f"r2 = {self.r2} outside [0, 1]")
+
+
+def _window(window) -> None:
+    """Raise DomainError unless window is a range of at least 10 iterations."""
+    if not isinstance(window, range) or len(window) < 10:
+        raise DomainError(f"window must be a range of at least 10 iterations, got {window!r}")
 
 
 def tev(X: DataMatrix, Q: StiefelPoint) -> float:
@@ -96,10 +99,7 @@ def fit_linear_rate(gaps, window: range) -> RateFit:
     fit (at least 10).  Every selected gap must be positive.
     """
     gaps = np.asarray(gaps, dtype=float)
-    if not isinstance(window, range):
-        raise DomainError(f"window must be a range, got {type(window).__name__}")
-    if len(window) < 10:
-        raise DomainError(f"window must cover at least 10 iterations, got {len(window)}")
+    _window(window)
     ks = np.array(window)
     if ks.min() < 0 or ks.max() >= gaps.shape[0]:
         raise DomainError(
@@ -233,8 +233,7 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise DomainError("points contain non-finite values")
     n = pts.shape[1]
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= n):
-        raise DomainError(f"k must be in 1..{n}, got {k!r}")
+    _count("k", k, 1, n)
     coords = np.ascontiguousarray(pts)
     pts = pts.T.copy()
     best_labels, best_inertia = None, np.inf
@@ -281,8 +280,7 @@ def choose_k_energy(X: DataMatrix, threshold: float = 0.8) -> int:
 
     The singular values are X's cached spectrum, scaled as in ``tev``.
     """
-    if not (isinstance(threshold, (int, float)) and 0.0 < threshold <= 1.0):
-        raise DomainError(f"threshold must lie in (0, 1], got {threshold!r}")
+    _number("threshold", threshold, 0.0, 1.0)
     s = singular_values(X)
     if not s[0] > 0.0:
         raise DomainError("X is zero; no energy to capture")

@@ -66,7 +66,7 @@ from .core import (
     _fit,
     _fro_norm,
     _objective_l,
-    _positive_finite,
+    _number,
     h_from_factors,
 )
 from .errors import (
@@ -150,8 +150,7 @@ def extrapolate(Q: StiefelPoint, Q_prev: StiefelPoint, gamma: float) -> np.ndarr
     This is the dense d x d reference; ``solve`` never forms it and works
     with X^T E through ``_xt_extrapolated`` instead.
     """
-    if not (isinstance(gamma, (int, float)) and 0.0 <= gamma <= 1.0):
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma!r}")
+    _number("gamma", gamma, 0.0, 1.0, open_low=False)
     if Q_prev.values.shape != Q.values.shape:
         raise ShapeError(
             f"Q_prev shape {Q_prev.values.shape} differs from Q shape {Q.values.shape}"
@@ -245,7 +244,7 @@ def update_P(P: SignMatrix, X: DataMatrix, E: np.ndarray, alpha: float) -> SignM
     This is the exact minimizer of -<P', X^T E> + (alpha/2) ||P' - P||_F^2
     over sign matrices P'.
     """
-    _positive_finite("alpha", alpha)
+    _number("alpha", alpha)
     E = np.asarray(E, dtype=float)
     if E.shape != (X.d, X.d):
         raise ShapeError(f"E must be {X.d} x {X.d}, got {E.shape}")
@@ -261,7 +260,7 @@ def update_Q(Q: StiefelPoint, P_next: SignMatrix, X: DataMatrix, beta: float) ->
     This maximizes <Q', S Q + beta Q> over the Stiefel manifold, i.e. the
     linearized objective plus the proximal coupling to the previous Q.
     """
-    _positive_finite("beta", beta)
+    _number("beta", beta)
     _fit(X, Q, P_next)
     SQ = _s_times(X.values, P_next.values, Q.values, X.values.T @ Q.values)
     Q_next = _q_step(Q.values, SQ, beta)
@@ -287,8 +286,8 @@ def _beta(SVt: np.ndarray, P: np.ndarray, beta_star: float, beta_sup: float) -> 
 
 def gamma_star(alpha_star: float, beta_star: float, X: DataMatrix) -> float:
     """Extrapolation cap gamma* = min(1, alpha_star beta_star / (8 ||X||^2))."""
-    _positive_finite("alpha_star", alpha_star)
-    _positive_finite("beta_star", beta_star)
+    _number("alpha_star", alpha_star)
+    _number("beta_star", beta_star)
     return _gamma_cap(alpha_star, beta_star, float(X._sigma[0]))
 
 
@@ -367,7 +366,7 @@ def criticality_residual(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> float
 def check_alpha_condition(X: DataMatrix, Q: StiefelPoint, alpha_star: float) -> bool:
     """Post-hoc step-size test: alpha_star below the smallest nonzero entry
     magnitude of X^T Q Q^T.  Vacuously true when that matrix is zero."""
-    _positive_finite("alpha_star", alpha_star)
+    _number("alpha_star", alpha_star)
     _fit(X, Q)
     T = (X.values.T @ Q.values) @ Q.values.T
     return _alpha_holds(np.abs(T, out=T), alpha_star)

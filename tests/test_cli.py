@@ -997,6 +997,10 @@ MAPPED_FAILURES = {
                  "cannot load features"),
     "k-zero": ("solve --out {out} --data {X} --k 0 --beta 20", 2,
                "invalid subspace dimension"),
+    "solve-k-negative": ("solve --out {out} --data {X} --k -1 --beta 20", 2,
+                         "invalid subspace dimension"),
+    "reconstruct-k-negative": ("reconstruct --out {out} --image {clean} --k -1", 2,
+                               "invalid subspace dimension"),
     "dataset": ("cluster --out {out} --libsvm {missing} --beta 20", 3, "cannot load dataset"),
     "energy": ("cluster --out {out} --libsvm {flat} --beta 20", 3, "energy rule failed"),
     "list-corrupted": ("reconstruct --out {out} --corrupted {file}", 3,
@@ -1015,11 +1019,13 @@ MAPPED_FAILURES = {
 @pytest.fixture(scope="module")
 def mapped_inputs(tmp_path_factory, small_csv):
     root = tmp_path_factory.mktemp("mapped")
-    names = ("bad_k", "file", "flat", "tiny", "one_bad", "two_sizes", "empty", "no_q", "missing")
+    names = ("bad_k", "file", "flat", "clean", "tiny", "one_bad", "two_sizes", "empty", "no_q",
+             "missing")
     paths = {name: root / name for name in names}
     paths["bad_k"].write_text("k = x\n")
     paths["file"].write_text("a regular file\n")
     paths["flat"].write_text("1 1:1\n2 1:1\n")  # LIBSVM data that centers to zero
+    write_pgm(GrayImage(np.arange(144.0).reshape(12, 12)), paths["clean"])
     write_pgm(GrayImage(np.full((5, 5), 7.0)), paths["tiny"])
     for name in ("one_bad", "two_sizes", "empty"):
         paths[name].mkdir()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from l1subspace import data, linalg, metrics, solvers
 from l1subspace.core import (
     AdaptiveBeta,
     DataMatrix,
@@ -291,19 +292,48 @@ def test_fro_norm_scales_by_a_power_of_two():
             assert _fro_norm(A * scale) == pytest.approx(np.linalg.norm(A) * scale, rel=1e-14)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: SolverConfig(alpha=True, beta_mode=FixedBeta(1.0)),
-    lambda: SolverConfig(alpha=1e-6, beta_mode=FixedBeta(1.0), gamma=True),
-    lambda: SolverConfig(alpha=1e-6, beta_mode=FixedBeta(1.0), gamma=False),
-    lambda: SolverConfig(alpha=1e-6, beta_mode=FixedBeta(1.0), max_iters=True),
-    lambda: SolverConfig(alpha=1e-6, beta_mode=FixedBeta(1.0), tol=True),
-    lambda: FixedBeta(True),
-    lambda: AdaptiveBeta(True, 2.0),
-], ids=["alpha", "gamma", "gamma-false", "max_iters", "tol", "FixedBeta", "AdaptiveBeta"])
-def test_bool_is_not_a_number(build):
-    # isinstance(True, int) holds, so each check must name bool explicitly
-    with pytest.raises(DomainError):
+def _eye_q():
+    return StiefelPoint(np.eye(5, 2))
+
+
+# (build, accepted): False when the call must raise DomainError
+BOOLS_AND_NUMPY_SCALARS = {
+    "alpha": (lambda: SolverConfig(alpha=True, beta_mode=FixedBeta(1.0)), False),
+    "gamma": (lambda: SolverConfig(alpha=1e-6, beta_mode=FixedBeta(1.0), gamma=True), False),
+    "gamma-false": (
+        lambda: SolverConfig(alpha=1e-6, beta_mode=FixedBeta(1.0), gamma=False), False),
+    "max_iters": (
+        lambda: SolverConfig(alpha=1e-6, beta_mode=FixedBeta(1.0), max_iters=True), False),
+    "tol": (lambda: SolverConfig(alpha=1e-6, beta_mode=FixedBeta(1.0), tol=True), False),
+    "FixedBeta": (lambda: FixedBeta(True), False),
+    "AdaptiveBeta": (lambda: AdaptiveBeta(True, 2.0), False),
+    "choose_k_energy": (
+        lambda: metrics.choose_k_energy(DataMatrix(np.eye(5, 30)), threshold=True), False),
+    "kmeans": (lambda: metrics.kmeans(np.eye(2, 6), True), False),
+    "extrapolate": (lambda: solvers.extrapolate(_eye_q(), _eye_q(), True), False),
+    "gen_synthetic-sigma": (lambda: data.gen_synthetic(5, 30, 1, True, 0), False),
+    "gen_synthetic-d": (lambda: data.gen_synthetic(True, 30, 1, 0.5, 0), False),
+    "add_block_outliers": (
+        lambda: data.add_block_outliers(data.GrayImage(np.zeros((6, 6))), True, 0), False),
+    "random_stiefel": (lambda: linalg.random_stiefel(True, 1, 0), False),
+    "random_stiefel-np.True_": (lambda: linalg.random_stiefel(2, np.True_, 0), False),
+    "FixedBeta-np.int64": (lambda: FixedBeta(np.int64(20)), True),
+    "max_iters-np.int64": (
+        lambda: SolverConfig(alpha=1e-6, beta_mode=FixedBeta(1.0), max_iters=np.int64(5)),
+        True),
+}
+
+
+@pytest.mark.parametrize("build,accepted", BOOLS_AND_NUMPY_SCALARS.values(),
+                         ids=BOOLS_AND_NUMPY_SCALARS)
+def test_bool_is_not_a_number(build, accepted):
+    # isinstance(True, int) holds, so the rule must name bool explicitly; a
+    # numpy integer is a count like an int
+    if accepted:
         build()
+    else:
+        with pytest.raises(DomainError):
+            build()
 
 
 # ---------------------------------------------------------------------------

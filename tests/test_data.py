@@ -218,6 +218,11 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match=fragment):
             parse_libsvm(io.StringIO(text))
 
+    @pytest.mark.parametrize("n_features", [0, -3, 2.5, True])
+    def test_explicit_dimension_must_be_a_positive_integer(self, n_features):
+        with pytest.raises(DomainError, match="n_features"):
+            parse_libsvm(io.StringIO("1 1:1.0\n"), n_features=n_features)
+
     def test_index_beyond_given_dimension(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_libsvm(io.StringIO("1 1:1.0\n1 7:1.0\n"), n_features=5)
@@ -534,6 +539,11 @@ class TestStacking:
     def test_unstack_checks_row_count(self):
         with pytest.raises(ShapeError):
             unstack_images(np.zeros((10, 2)), 3, 4)
+
+    @pytest.mark.parametrize("height,width", [(-2, -2), (0, 4), (2.0, 2)])
+    def test_unstack_checks_image_sides(self, height, width):
+        with pytest.raises(DomainError):
+            unstack_images(np.zeros((4, 1)), height, width)
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +920,8 @@ def _bulk_parse(text, n_features):
     return ds.features.values, ds.labels
 
 
-@given(text=_libsvm_soup(), n_features=st.one_of(st.none(), st.integers(0, 14)))
+# n_features below 1 is a DomainError before any text is read
+@given(text=_libsvm_soup(), n_features=st.one_of(st.none(), st.integers(1, 14)))
 @settings(deadline=None, max_examples=400)
 def test_parse_libsvm_matches_per_token_reference(text, n_features):
     # same array bits and labels, the same warnings in the same order, or

@@ -5,7 +5,8 @@ A name counts as used when the command line, a demo or the benchmark's
 workloads name it in their source, or when the benchmark's tracer lists it
 in ``LAYERS``, which it rebinds by name.  The sources are read with ``ast``,
 never imported.  The command line's failure rule is read the same way: one
-boundary turns library errors into exit codes.
+boundary turns library errors into exit codes.  So is the scalar rule: only
+``core`` says what a number or a count is.
 """
 
 import ast
@@ -75,3 +76,34 @@ def test_cli_maps_library_errors_at_one_boundary():
         )
     ]
     assert not restated, f"except clauses that raise CliError outside _fails_as: {restated}"
+
+
+def _isinstance_types(node):
+    """The type names an ``isinstance`` call, or its negation, tests; None for other nodes."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        node = node.operand
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2):
+        return None
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return {getattr(kind, "id", None) or getattr(kind, "attr", None) for kind in kinds}
+
+
+def test_only_core_spells_the_scalar_rule():
+    # what counts as a number or a count, a bool being neither, is decided in
+    # core alone; every other module calls its predicates and range checks
+    spelled = set()
+    for path in sorted((ROOT / "src" / "l1subspace").glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            types = _isinstance_types(node)
+            if types and "int" in types and types & {"float", "integer"}:
+                spelled.add(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.BoolOp):
+                tested = [_isinstance_types(value) or set() for value in node.values]
+                if any(t & {"bool", "bool_"} for t in tested) and any(
+                    t & {"int", "integer"} for t in tested
+                ):
+                    spelled.add(f"{path.name}:{node.lineno}")
+    assert not spelled, f"scalar rules written outside core: {sorted(spelled)}"
