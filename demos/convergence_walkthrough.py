@@ -37,7 +37,8 @@ config = SolverConfig(
     max_iters=2000,
     tol=1e-10,
 )
-report = solve(X, config, random_stiefel(X.d, 3, seed=1))
+# snapshots=True keeps every sweep's Q, which gap_traces reads below
+report = solve(X, config, random_stiefel(X.d, 3, seed=1), snapshots=True)
 
 print(f"\npractical run stopped after {report.iterations} sweeps "
       f"({report.stop_reason}), objective {report.final_objective:.6f}")

@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, _fro_norm, _is_number, _number, objective_l
+from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, _Adopted, _fro_norm, _is_number, _number, objective_l
 from .data import (
     GrayImage,
     _read,
@@ -254,7 +254,7 @@ def load_feature_matrix(resolved: dict) -> DataMatrix:
     with _fails_as(EXIT_DATA, "cannot load features",
                    OSError, ParseError, ShapeError, NumericError):
         if data_path is not None:
-            raw = DataMatrix(read_csv_matrix(data_path))
+            raw = DataMatrix(_Adopted(read_csv_matrix(data_path)))
         else:
             raw = parse_libsvm(libsvm_path).features
         return center_features(raw)
@@ -298,16 +298,13 @@ def parse_trace_csv(text: str) -> RunTrace:
 
 
 def _run_solver(X: DataMatrix, config: SolverConfig, k: int, seed) -> RunReport:
-    """Solve from the seeded random start Q0, with library errors as exit codes.
-
-    The CLI writes no Q snapshot out, so none is kept.
-    """
+    """Solve from the seeded random start Q0, with library errors as exit codes."""
     with _fails_as(EXIT_CONFIG, "invalid subspace dimension", DomainError, ShapeError):
         init_Q = random_stiefel(X.d, k, seed=seed)
     with _fails_as(EXIT_CONFIG, "solver rejected the setup",
                    FeasibilityError, ShapeError, DomainError):
         with _fails_as(EXIT_SOLVER, "solver failed", *_SOLVER_ERRORS):
-            return solve(X, config, init_Q, snapshots=False)
+            return solve(X, config, init_Q)
 
 
 def _write_report(out: str, command: str, resolved: dict, results: dict, timing: dict) -> None:
@@ -483,10 +480,12 @@ def cmd_cluster(resolved: dict, out: str) -> None:
     config = build_solver_config(resolved)
     with _fails_as(EXIT_DATA, "cannot load dataset", OSError, ParseError):
         dataset = parse_libsvm(resolved["libsvm"])
-    n_clusters = len(np.unique(dataset.labels))
+    labels = dataset.labels
+    n_clusters = len(np.unique(labels))
     if n_clusters < 2:
         raise CliError(EXIT_DATA, "dataset holds a single class; nothing to cluster")
     X = center_features(dataset.features)
+    del dataset  # the uncentered features are not read again
     if resolved["k"] is not None:
         K = resolved["k"]
         k_rule = "flag"
@@ -501,11 +500,12 @@ def cmd_cluster(resolved: dict, out: str) -> None:
         rep_seed = resolved["seed"] + rep
         started = time.perf_counter()
         report = _run_solver(X, config, K, rep_seed)
+        iterations.append(report.iterations)
         projected = report.final_Q.values.T @ X.values
+        del report  # its n x d final_P must not outlive the repetition
         predicted = kmeans(projected, n_clusters, seed=rep_seed)
         wall_times.append(time.perf_counter() - started)
-        accuracies.append(clustering_accuracy(predicted, dataset.labels))
-        iterations.append(report.iterations)
+        accuracies.append(clustering_accuracy(predicted, labels))
     results = {
         "subspace_dim": int(K),
         "subspace_dim_rule": k_rule,
@@ -666,7 +666,7 @@ def cmd_check(resolved: dict, out: None) -> None:
     with _fails_as(EXIT_DATA, "corrupt run artifacts",
                    OSError, ParseError, FeasibilityError, ShapeError, NumericError):
         final_Q = StiefelPoint(read_csv_matrix(os.path.join(run_dir, "final_Q.csv")))
-        final_P = SignMatrix(read_csv_matrix(os.path.join(run_dir, "final_P.csv")))
+        final_P = SignMatrix(_Adopted(read_csv_matrix(os.path.join(run_dir, "final_P.csv"))))
     if final_Q.d != X.d or final_P.values.shape != (X.n, X.d):
         raise CliError(EXIT_DATA, f"run artifacts do not fit the {X.d} x {X.n} dataset")
 

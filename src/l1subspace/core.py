@@ -13,9 +13,14 @@ is an int or a numpy integer, a number a count or a float, a bool neither.
 Heavier linear algebra lives in :mod:`l1subspace.linalg`, the alternating
 scheme, sign step included, in :mod:`l1subspace.solvers`.
 
-All array-valued types copy their input and freeze it read-only, so instances
-can be shared freely between threads and runs.  A :class:`DataMatrix` also
-keeps its spectrum, filled lazily and read-only once filled (see there).
+All array-valued types freeze their array read-only, so instances can be
+shared freely between threads and runs.  An array from a caller is copied
+first, so writing to it later leaves the instance as it was.  An array the
+library has just allocated, and that nothing else refers to, is handed over
+wrapped in :class:`_Adopted` and frozen in place, with no copy: a parsed or
+centered data block, a finished run's sign block.  A :class:`DataMatrix`
+also keeps its spectrum, filled lazily and read-only once filled (see
+there).
 """
 
 from __future__ import annotations
@@ -79,8 +84,22 @@ def _fro_norm(A: np.ndarray) -> float:
     return math.ldexp(float(np.linalg.norm(np.ldexp(A, -e))), e)
 
 
+class _Adopted:
+    """An array the library has just allocated and hands to one of the array
+    types, which then freezes it in place instead of copying it.  Wrap only
+    an array that no other code refers to."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _frozen_array(obj, field, raw):
-    vals = _matrix(np.array(raw, dtype=float), f"{type(obj).__name__}.{field}")
+    """Store ``raw`` as ``obj.field``, validated and read-only: a copy of
+    caller input, or the array itself when it comes wrapped in _Adopted."""
+    vals = raw.array if isinstance(raw, _Adopted) else np.array(raw, dtype=float)
+    vals = _matrix(vals, f"{type(obj).__name__}.{field}")
     vals.setflags(write=False)
     object.__setattr__(obj, field, vals)
     return vals
@@ -118,7 +137,8 @@ class DataMatrix:
     def __post_init__(self):
         vals = _frozen_array(self, "values", self.values)
         if self.centered:
-            scale = np.maximum(1.0, np.max(np.abs(vals), axis=1))
+            # max |v| of a row is max(max v, -min v), with no n x d temporary
+            scale = np.maximum(1.0, np.maximum(vals.max(axis=1), -vals.min(axis=1)))
             if np.any(np.abs(vals.mean(axis=1)) > CENTERING_TOL * scale):
                 raise FeasibilityError("centered flag set but row means are not zero")
 

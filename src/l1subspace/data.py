@@ -18,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import DataMatrix, StiefelPoint, _count, _frozen_array, _number
+from .core import DataMatrix, StiefelPoint, _Adopted, _count, _frozen_array, _number
 from .errors import DomainError, ParseError, ShapeError
 from .linalg import polar_factor
 
@@ -120,7 +120,7 @@ def gen_synthetic(
 def center_features(X: DataMatrix) -> DataMatrix:
     """Subtract each feature row's mean; returns a centered DataMatrix."""
     vals = X.values - X.values.mean(axis=1, keepdims=True)
-    return DataMatrix(vals, centered=True)
+    return DataMatrix(_Adopted(vals), centered=True)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +185,10 @@ def parse_libsvm(source, n_features: int | None = None) -> LabeledDataset:
     lazily under memory overcommit and exhaust memory later, when used.
 
     Cost: O(entries) numpy work beyond the dense array, plus one Python
-    ``int`` or ``float`` conversion per token.  All tokens are converted
-    together, and the per-token strings are released before the dense
-    array is allocated; malformed input is re-read line by line to name its
-    first error.
+    ``int`` or ``float`` conversion per token.  Beyond the text, its lines
+    and the dense array, memory holds a few numbers per entry and the
+    strings of one slice of about 64 k characters at a time;
+    malformed input is re-read line by line to name its first error.
     """
     if n_features is not None:
         _count("n_features", n_features)
@@ -237,11 +237,15 @@ def parse_libsvm(source, n_features: int | None = None) -> LabeledDataset:
         k = beyond[0]
         raise ParseError(f"line {linenos[cols[k]]}: index {idx[k]} exceeds dimension {d}")
     dense[idx - 1, cols] = vals
-    return LabeledDataset(DataMatrix(dense), labels.astype(int))
+    return LabeledDataset(DataMatrix(_Adopted(dense)), labels.astype(int))
 
 
 # two colons inside one idx:val token (tokens are joined by single spaces)
 _TWO_COLONS = re.compile(r":[^ :]*:")
+# characters of feature text split into pieces at a time, rounded up to a
+# token boundary: a piece string costs about 60 bytes, so the pieces of a
+# slice stay near a megabyte however long the file is
+_LIBSVM_SLICE = 1 << 16
 
 
 def _libsvm_arrays(label_tokens, counts, joined):
@@ -252,15 +256,23 @@ def _libsvm_arrays(label_tokens, counts, joined):
     raw = np.fromiter(map(float, label_tokens), float, len(label_tokens))
     total = sum(counts)
     # with as many colons as tokens and never two in one token, each token
-    # has exactly one; 2 * total pieces means neither side of one is empty
+    # has exactly one
     if joined.count(":") != total or _TWO_COLONS.search(joined):
         raise ValueError("a feature token lacks exactly one colon")
-    pieces = joined.replace(":", " ").split()
-    if len(pieces) != 2 * total:
-        raise ValueError("a feature token has an empty side")
-    idx = np.fromiter(map(int, islice(pieces, 0, None, 2)), np.int64, total)
-    vals = np.fromiter(map(float, islice(pieces, 1, None, 2)), float, total)
-    del pieces
+    idx = np.empty(total, np.int64)
+    vals = np.empty(total)
+    done = start = 0
+    while start < len(joined):
+        end = joined.find(" ", start + _LIBSVM_SLICE)
+        end = len(joined) if end < 0 else end
+        m = joined.count(":", start, end)  # the slice's tokens, one colon each
+        pieces = joined[start:end].replace(":", " ").split()
+        # 2 m pieces means neither side of a colon is empty
+        if len(pieces) != 2 * m:
+            raise ValueError("a feature token has an empty side")
+        idx[done : done + m] = np.fromiter(map(int, islice(pieces, 0, None, 2)), np.int64, m)
+        vals[done : done + m] = np.fromiter(map(float, islice(pieces, 1, None, 2)), float, m)
+        done, start = done + m, end + 1
     cols = np.repeat(np.arange(len(counts)), counts)
     # each index must exceed the one before it on its line, and 0 at a line start
     prev = np.zeros_like(idx)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataMatrix, StiefelPoint, _count, _fit, _number
+from .core import DataMatrix, StiefelPoint, _Adopted, _count, _fit, _number
 from .errors import DomainError, ShapeError
 from .linalg import singular_values
 from .solvers import RunTrace
@@ -294,4 +294,4 @@ def reconstruct(X: DataMatrix, Q: StiefelPoint) -> DataMatrix:
     """Projection Q Q^T X of the data onto the subspace."""
     _fit(X, Q)
     values = Q.values @ (Q.values.T @ X.values)
-    return DataMatrix(values, centered=X.centered)
+    return DataMatrix(_Adopted(values), centered=X.centered)

@@ -17,16 +17,18 @@ problem costs O(ndK) time and O(nd) memory and never forms a d x d matrix.
 product buffer T, plus the n x 2K and 2K x d factors of X^T E and the
 n x K product P Q; every product is written into them with
 ``np.matmul(..., out=)``.  The sign step is screened and in place.  Since P
-is +/-1, P_ij can only turn where (X^T E)_ij P_ij < 0, so after one exact
-pass T *= P and a min and a max for the finiteness check, the sign step
-stops at once when even the smallest entry of T * P / alpha is at least -1;
-otherwise one compare picks the entries that can turn, only those are
-divided by alpha and possibly flipped, and the flip count for the trace is
-the number that turned.  A sweep runs at most six products that touch
-n x d data (X^T E into T, three that read P and two that read X) and at
-most four elementwise passes over T (the product with P, min, max,
-compare), and allocates nothing of size n x d.  The closing checks form
-X^T Q Q^T once, in T.
+is +/-1, P_ij turns exactly where fl((X^T E)_ij P_ij / alpha) < -1, which
+under round-to-nearest is exactly where (X^T E)_ij P_ij < -alpha (see
+``_sign_step``).  So after one exact pass T *= P and a min and a max for the
+finiteness check, the sign step stops at once when even the smallest entry
+of T * P is at least -alpha; otherwise one compare with -alpha picks the
+entries that turn, they are flipped, and the flip count for the trace is
+their number.  No entry is divided by alpha.  A sweep runs at most six
+products that touch n x d data (X^T E into T, three that read P and two
+that read X) and at most four elementwise passes over T (the product with
+P, min, max, compare).  It allocates no n x d float array: only the
+compare's boolean mask and the indices of the flipped entries.  The
+closing checks form X^T Q Q^T once, in T, and final_P adopts P itself.
 
 A sweep that flips no sign leaves P bit for bit as it was, so everything
 that depends on P alone is reused rather than recomputed: the sign step
@@ -63,6 +65,7 @@ from .core import (
     SignMatrix,
     SolverConfig,
     StiefelPoint,
+    _Adopted,
     _fit,
     _fro_norm,
     _objective_l,
@@ -195,8 +198,10 @@ def _sign_step(P: np.ndarray, T: np.ndarray, alpha: float) -> int:
     # P is +/-1, so T * P is exact and fl(P + fl(T / alpha)) equals
     # P fl(1 + fl(T P / alpha)): the sign turns exactly where
     # fl(T P / alpha) < -1 and is kept, ties included, everywhere else.
-    # Only entries with T P < 0 can turn; near a fixed point they are few,
-    # so the division and the compare run on them alone.
+    # That is exactly where T P < -alpha, so no entry is divided: -alpha / alpha
+    # is -1, and a double below -alpha lies at least ulp(alpha) below it, with
+    # ulp(alpha) / alpha > 2^-53 (subnormal alpha included), so its quotient
+    # is rounded below -1
     T *= P
     # fl(t / alpha) is monotone in t, and P + fl(t / alpha) overflows only if
     # fl(t / alpha) does, so the two extremes decide finiteness; a NaN
@@ -204,14 +209,12 @@ def _sign_step(P: np.ndarray, T: np.ndarray, alpha: float) -> int:
     lo, hi = float(T.min()), float(T.max())
     if not (math.isfinite(lo / alpha) and math.isfinite(hi / alpha)):
         raise NumericError("sign step input has non-finite entries")
-    # by the same monotonicity no entry turns when the smallest one does not
-    if lo / alpha >= -1.0:
+    # no entry turns when the smallest one does not
+    if lo >= -alpha:
         return 0
-    TP = T.reshape(-1)
-    candidates = np.flatnonzero(TP < 0.0)
-    flips = candidates[TP[candidates] / alpha < -1.0]
+    flips = np.flatnonzero(T.reshape(-1) < -alpha)
     Pf = P.reshape(-1)
-    Pf[flips] = -Pf[flips]
+    Pf[flips] *= -1.0  # one gathered temporary, negated in place
     return flips.size
 
 
@@ -389,7 +392,7 @@ def solve(
     config: SolverConfig,
     init_Q: StiefelPoint,
     *,
-    snapshots: bool = True,
+    snapshots: bool = False,
 ) -> RunReport:
     """Run the alternating scheme from Q0 = init_Q until the triple step
     drops below config.tol or config.max_iters sweeps have run.
@@ -402,7 +405,9 @@ def solve(
 
     The iterates are plain arrays inside the loop: the sign step yields +/-1
     entries and the Q step orthonormal columns by construction, so they are
-    validated once, as final_P and final_Q.
+    validated once, as final_P and final_Q.  Every sweep's Q is kept in the
+    trace only with ``snapshots=True`` (see RunTrace): at d x K a sweep,
+    a long run on tall data holds far more snapshots than data.
     """
     if not X.centered:
         raise FeasibilityError("solve requires a centered data matrix")
@@ -500,10 +505,11 @@ def solve(
     alpha_holds = _alpha_holds(np.abs(TP, out=TP), config.alpha)
     objective = _objective_l(Q, Xv, out=T.reshape(d, n))
     crit = math.nan if stale else _residual(Xv, P, Q, XtQ, PQ)
-    # release the product buffer before the validating copy of P
+    # release the product buffer before P's entries are validated; final_P
+    # adopts P itself, which the run no longer writes
     del T, TP
     return RunReport(
-        final_P=SignMatrix(P),
+        final_P=SignMatrix(_Adopted(P)),
         final_Q=StiefelPoint(Q),
         final_objective=objective,
         trace=trace,

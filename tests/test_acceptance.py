@@ -178,7 +178,7 @@ def practical_runs():
             max_iters=5000,
             tol=1e-10,
         )
-        report = solve(X, config, random_stiefel(50, 5, seed=seed + 1000))
+        report = solve(X, config, random_stiefel(50, 5, seed=seed + 1000), snapshots=True)
         runs.append((X, report))
     return runs
 

@@ -592,6 +592,29 @@ class TestCluster:
                        "--beta", 20) == 3
         assert f"line 2: index {index} is too large" in capsys.readouterr().err
 
+    def test_two_repetitions_hold_one_data_copy_per_stage(self, tmp_path):
+        # 40 x 4000 block text, one n x d float array 1.28 MB: each stage
+        # keeps X and at most two n x d blocks of its own (the solve's P and
+        # product buffer), so a copy of the parsed features kept past
+        # centering, or a report's final_P kept into the next solve, would
+        # cross the bound; both did once, for 6.25 blocks at the peak
+        rng = np.random.default_rng(9)
+        labels = np.arange(4000) % 4
+        rate = np.where(np.arange(40)[:, None] // 10 == labels, 1.2, 0.15)
+        path = tmp_path / "block.txt"
+        write_libsvm(LabeledDataset(DataMatrix(rng.poisson(rate).astype(float)), labels), path)
+        argv = ("cluster", "--libsvm", path, "--threshold", 0.3, "--reps", 2, "--beta", 20)
+        # a first run loads what the command caches or imports on first use
+        assert run_cli(*argv, "--out", tmp_path / "warm") == 0
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv, "--out", tmp_path / "c")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4.5 * 4000 * 40 * 8
+
 
 # ---------------------------------------------------------------------------
 # reconstruct

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,46 @@ def test_data_matrix_values_read_only():
     dm = DataMatrix(np.eye(2))
     with pytest.raises(ValueError):
         dm.values[0, 0] = 5.0
+
+
+def test_data_matrix_centered_scale_reads_both_signs():
+    # the tolerance scales with max |v| of each row: here 2e6 from the
+    # negative (then the positive) side, so a row mean of 1.5e-3 passes
+    # against 1e-9 * 2e6 while 1e-9 times the other side's 1e6 would fail it
+    eps = 4.5e-3
+    DataMatrix([[-2e6, 1e6, 1e6 + eps], [2e6, -1e6, -1e6 - eps]], centered=True)
+    with pytest.raises(FeasibilityError):
+        DataMatrix([[-2e6, 1e6, 1e6 + 2 * eps]], centered=True)
+
+
+@pytest.mark.parametrize("make,raw", [
+    (DataMatrix, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]),
+    (SignMatrix, [[1.0, -1.0], [-1.0, 1.0]]),
+    (StiefelPoint, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+    (data.GrayImage, [[7.0, 8.0], [9.0, 10.0]]),
+], ids=["DataMatrix", "SignMatrix", "StiefelPoint", "GrayImage"])
+def test_array_types_copy_caller_input(make, raw):
+    # writing to the caller's array after construction leaves the instance
+    # as it was, and the instance's own array is read-only
+    given = np.array(raw)
+    held = next(iter(vars(make(given)).values()))
+    given[0, 0] = -given[0, 0] + 1.0
+    assert np.array_equal(held, raw)
+    assert not held.flags.writeable
+
+
+def test_library_built_arrays_are_read_only():
+    # the parsed and the centered features, a finished run's sign block and a
+    # reconstruction are handed to their types without a copy, and frozen
+    parsed = data.parse_libsvm(io.StringIO("1 1:2.0 3:1.5\n2 2:-1.0\n-1 1:0.5\n")).features
+    centered = data.center_features(parsed)
+    config = SolverConfig(alpha=1e-6, beta_mode=FixedBeta(10.0), max_iters=5)
+    report = solvers.solve(centered, config, linalg.random_stiefel(3, 1, 0))
+    rebuilt = metrics.reconstruct(centered, report.final_Q)
+    for values in (parsed.values, centered.values, report.final_P.values, rebuilt.values):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0] = 0.0
 
 
 def test_sign_matrix_rejects_zeros():

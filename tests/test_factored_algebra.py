@@ -163,3 +163,20 @@ def test_screened_sign_step_matches_dense_sign_step(case):
     flips = _sign_step(got, T.copy(), alpha)
     assert got.tobytes() == want.tobytes()
     assert flips == np.count_nonzero(want != P)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.floats(5e-324, 1e300),
+    # powers of two, and the doubles just below them: there the double
+    # below -alpha divides to nearest the rounding tie at -1 - 2^-53
+    st.integers(-1074, 996).map(lambda e: math.ldexp(1.0, e)),
+    st.integers(-1073, 996).map(lambda e: math.nextafter(math.ldexp(1.0, e), 0.0)),
+))
+def test_minus_alpha_is_the_exact_flip_threshold(alpha):
+    # the sign step flips an entry t of T P where t < -alpha, in place of
+    # fl(t / alpha) < -1: -alpha keeps its sign and the double below it
+    # turns, and the quotient is monotone in t, so the two rules agree
+    t = -alpha
+    assert t / alpha >= -1.0
+    assert math.nextafter(t, -math.inf) / alpha < -1.0

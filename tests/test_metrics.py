@@ -128,7 +128,7 @@ class TestGapTraces:
     def test_converged_run_ends_at_zero(self):
         rng = np.random.default_rng(4)
         X = random_centered(8, 40, rng)
-        report = solve(X, practical_config(), random_stiefel(8, 2, seed=0))
+        report = solve(X, practical_config(), random_stiefel(8, 2, seed=0), snapshots=True)
         assert report.stop_reason == "tolerance"
         gaps = gap_traces(report.trace, report.final_Q)
         assert len(gaps.function_gaps) == len(report.trace.snapshot_iters)
@@ -139,13 +139,13 @@ class TestGapTraces:
     def test_unpacks_as_pair(self):
         rng = np.random.default_rng(5)
         X = random_centered(6, 20, rng)
-        report = solve(X, practical_config(), random_stiefel(6, 2, seed=1))
+        report = solve(X, practical_config(), random_stiefel(6, 2, seed=1), snapshots=True)
         function_gaps, iterate_gaps = gap_traces(report.trace, report.final_Q)
         assert function_gaps.shape == iterate_gaps.shape
 
     def test_stationary_run_is_identically_zero(self):
         X = DataMatrix(np.zeros((5, 8)), centered=True)
-        report = solve(X, practical_config(), random_stiefel(5, 2, seed=2))
+        report = solve(X, practical_config(), random_stiefel(5, 2, seed=2), snapshots=True)
         gaps = gap_traces(report.trace, report.final_Q)
         assert np.all(gaps.function_gaps == 0.0)
         assert np.all(gaps.iterate_gaps == 0.0)
