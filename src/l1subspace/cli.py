@@ -36,6 +36,7 @@ import numpy as np
 from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, _Adopted, _fro_norm, _is_number, _number, objective_l
 from .data import (
     GrayImage,
+    _open_read,
     _read,
     _write,
     center_features,
@@ -320,7 +321,11 @@ def _write_report(out: str, command: str, resolved: dict, results: dict, timing:
 
 
 def _sha256(path: str) -> str:
-    return hashlib.sha256(_read(path, binary=True)).hexdigest()
+    digest = hashlib.sha256()
+    with _open_read(path, binary=True) as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -572,18 +577,21 @@ def cmd_reconstruct(resolved: dict, out: str) -> None:
 
     with _fails_as(EXIT_DATA, "corrupted images disagree", ShapeError):
         columns = image_columns(corrupted)
-    if clean is not None and clean.pixels.shape != corrupted[0].pixels.shape:
+    height, width = corrupted[0].pixels.shape
+    del corrupted  # the stack holds their pixels
+    if clean is not None and clean.pixels.shape != (height, width):
         raise CliError(
             EXIT_DATA,
             f"clean image is {clean.pixels.shape} but corrupted are "
-            f"{corrupted[0].pixels.shape}",
+            f"{(height, width)}",
         )
+    # the stack is centered in place and adopted: X is its only copy
     means = columns.mean(axis=1, keepdims=True)
-    X = DataMatrix(columns - means, centered=True)
+    columns -= means
+    X = DataMatrix(_Adopted(columns), centered=True)
     report = _run_solver(X, config, resolved["k"], resolved["seed"])
     rebuilt = reconstruct(X, report.final_Q).values + means
-    rebuilt = np.clip(rebuilt, 0.0, 255.0)
-    height, width = corrupted[0].pixels.shape
+    np.clip(rebuilt, 0.0, 255.0, out=rebuilt)
     images = unstack_images(rebuilt, height, width)
     rmse = None
     for index, image in enumerate(images, start=1):

@@ -3,8 +3,15 @@ parsing, PGM image IO, block corruption, and dense CSV import/export.
 
 The synthetic generator draws a planted orthonormal basis, Gaussian
 coefficients, and additive Laplace noise through an inverse-CDF transform,
-then centers each feature row.  Everything is driven by numpy's seeded
-generators, so each artifact is a pure function of its parameters.
+then centers each feature row, all in place in X.  Everything is driven by
+numpy's seeded generators, so each artifact is a pure function of its
+parameters.
+
+Files are opened, read and written only through the file boundary below.
+No CSV or LIBSVM writer and no CSV reader from a path holds a whole file's
+text: the writers format and write one block of about 64 k entries at a
+time, and the CSV reader hands a path's lines to numpy's tokenizer as it
+reads them.  The Cost notes give each one's memory.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -82,10 +89,24 @@ class GrayImage:
 
 
 def _laplace_from_uniform(b, u):
-    # inverse CDF -b sign(u - 1/2) ln(1 - 2|u - 1/2|) of the zero-mean
-    # Laplace law with scale b (variance 2 b^2), for u in (0, 1)
-    shifted = u - 0.5
-    return -b * np.sign(shifted) * np.log1p(-2.0 * np.abs(shifted))
+    """Laplace noise -b sign(u - 1/2) ln(1 - 2|u - 1/2|), the inverse CDF of
+    the zero-mean Laplace law with scale b (variance 2 b^2), for u in (0, 1).
+
+    An array ``u`` is overwritten: each step works in place, so the noise is
+    the one new array.  IEEE products commute, so the bits are those of the
+    formula evaluated left to right.
+    """
+    u = np.asarray(u, dtype=float)
+    u -= 0.5
+    # np.sign into its own input runs several times slower than into a new
+    # array, so the noise starts as the signs and |u - 1/2| goes into u
+    noise = np.sign(u)
+    noise *= -b
+    np.abs(u, out=u)
+    u *= -2.0
+    np.log1p(u, out=u)
+    noise *= u
+    return noise
 
 
 def gen_synthetic(
@@ -97,6 +118,10 @@ def gen_synthetic(
     Gaussian, and N has i.i.d. Laplace entries with standard deviation
     ``sigma`` (scale sigma / sqrt 2).  All randomness comes from one
     generator seeded with ``seed``.
+
+    Cost: X is built and centered in place and handed to the DataMatrix
+    without a copy; the noise takes two d x n arrays beside it (its uniform
+    draw and the noise itself), so the peak is about three d x n arrays.
     """
     _count("d", d)
     _count("n", n)
@@ -104,17 +129,16 @@ def gen_synthetic(
     _number("sigma", sigma, open_low=False)
     rng = np.random.default_rng(seed)
     Q_true = StiefelPoint(polar_factor(rng.standard_normal((d, k))))
-    S = rng.standard_normal((k, n))
-    X = Q_true.values @ S
+    X = Q_true.values @ rng.standard_normal((k, n))
     # noise that overflows (sigma near 1e308) is reported once, as
     # DataMatrix's NumericError, not also as numpy warnings on the way there
     with np.errstate(over="ignore", invalid="ignore"):
         if sigma > 0.0:
             u = rng.random((d, n))
-            u = np.where(u == 0.0, 0.5, u)  # the open-interval guard
-            X = X + _laplace_from_uniform(sigma / math.sqrt(2.0), u)
-        X = X - X.mean(axis=1, keepdims=True)
-    return DataMatrix(X, centered=True), SyntheticTruth(Q_true, float(sigma), seed)
+            u[u == 0.0] = 0.5  # the open-interval guard
+            X += _laplace_from_uniform(sigma / math.sqrt(2.0), u)
+        X -= X.mean(axis=1, keepdims=True)
+    return DataMatrix(_Adopted(X), centered=True), SyntheticTruth(Q_true, float(sigma), seed)
 
 
 def center_features(X: DataMatrix) -> DataMatrix:
@@ -124,7 +148,15 @@ def center_features(X: DataMatrix) -> DataMatrix:
 
 
 # ---------------------------------------------------------------------------
-# file boundary: every reader and writer below goes through these two
+# file boundary: every reader and writer below goes through these three
+
+
+def _open_read(path, binary: bool = False):
+    """A path opened for reading: as bytes if ``binary``, else as ASCII text
+    with universal newlines (lines end at \\n, \\r and \\r\\n, read as \\n)."""
+    if binary:
+        return open(os.fspath(path), "rb")
+    return open(os.fspath(path), encoding="ascii")
 
 
 def _read(source, binary: bool = False):
@@ -132,7 +164,7 @@ def _read(source, binary: bool = False):
     if hasattr(source, "read"):
         data = source.read()
     else:
-        with open(os.fspath(source), "rb") as fh:
+        with _open_read(source, binary=True) as fh:
             data = fh.read()
     if binary or isinstance(data, str):
         return data
@@ -143,27 +175,35 @@ def _read(source, binary: bool = False):
 
 
 def _write(payload, dest) -> None:
-    """Write str (as ASCII) or bytes to a file-like object or a path.
+    """Write str (as ASCII), bytes, or an iterable of str chunks to a
+    file-like object or a path.
 
-    A path is written atomically: the bytes go to a temporary file in the
-    same directory, which then replaces the target, so a reader never sees a
-    partial file.  The temporary file is created with mode 0o666 less the
-    umask, the mode ``open()`` gives a new file.
+    A path is written atomically: the chunks go one by one to a temporary
+    file in the same directory, which then replaces the target, so a reader
+    never sees a partial file.  The temporary file is created with mode
+    0o666 less the umask, the mode ``open()`` gives a new file.
     """
+    chunks = [payload] if isinstance(payload, (str, bytes)) else payload
     if hasattr(dest, "write"):
-        dest.write(payload)
+        for chunk in chunks:
+            dest.write(chunk)
         return
-    blob = payload.encode("ascii") if isinstance(payload, str) else payload
     directory = os.path.dirname(os.path.abspath(os.fsdecode(dest)))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as fh:
-            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
         os.replace(tmp, dest)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+# entries formatted into one chunk of text by the CSV and LIBSVM writers:
+# a chunk and its strings stay near a few megabytes however large the matrix
+_WRITE_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -337,24 +377,38 @@ def write_libsvm(dataset: LabeledDataset, dest) -> None:
     the output reproduces the dense matrix exactly (pass the dimension if a
     trailing feature row can be all zero).
 
-    Cost: O(entries) numpy work plus one ``repr`` per distinct value and
-    one string per entry; each line is one join.
+    Cost: O(entries) numpy work plus one ``repr`` per distinct value of a
+    block and one string per entry; each line is one join.  The text is
+    built and written one block of samples (about 64 k matrix entries) at a
+    time, so memory holds the strings of one block, not of the file.
     """
     X = dataset.features.values
+    keys = [f"{i}:" for i in range(1, X.shape[0] + 1)]
+    step = max(1, _WRITE_BLOCK // X.shape[0])
+    blocks = range(0, X.shape[1], step)
+    _write(
+        (_libsvm_text(X[:, j : j + step], dataset.labels[j : j + step], keys) for j in blocks),
+        dest,
+    )
+
+
+def _libsvm_text(X, labels, keys) -> str:
+    """The LIBSVM lines of the samples (columns) of X, each ended by a
+    newline; ``keys`` holds the "i:" prefix of every feature index."""
     cols, rows = np.nonzero(X.T)  # the entries in column-major order
     distinct, which = np.unique(X[rows, cols], return_inverse=True)
     values = list(map(repr, distinct.tolist()))
-    keys = [f"{i}:" for i in range(1, X.shape[0] + 1)]
     entries = list(
         map(str.__add__, map(keys.__getitem__, rows.tolist()),
             map(values.__getitem__, which.tolist()))
     )
     ends = np.cumsum(np.bincount(cols, minlength=X.shape[1])).tolist()
     lines, start = [], 0
-    for label, end in zip(dataset.labels.tolist(), ends):
+    for label, end in zip(labels.tolist(), ends):
         lines.append(" ".join([str(label), *entries[start:end]]))
         start = end
-    _write("\n".join(lines) + "\n", dest)
+    lines.append("")  # the last newline
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -529,19 +583,39 @@ def unstack_images(values, height: int, width: int) -> list[GrayImage]:
 def write_csv_matrix(values, dest) -> None:
     """Write a dense matrix as CSV, one feature row per line, full precision.
 
-    Cost: one ``repr`` per entry and one join per row.  A matrix whose every
-    entry is +1 or -1 (a sign block) takes its text from a two-entry table
-    instead, with one numpy indexing pass; the output is the same bytes.
+    Cost: one ``repr`` per entry and one join per row.  The text is built and
+    written one block of rows (about 64 k entries) at a time, so memory
+    holds the strings of one block, not of the file.  A block whose every
+    entry is +1 or -1 (as in a sign block) takes its text from a two-entry
+    table instead, with one numpy indexing pass; the output is the same
+    bytes.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.size == 0:
         raise ShapeError(f"expected a nonempty 2-d array, got shape {np.shape(values)}")
-    if np.all(np.abs(vals) == 1.0):
+    step = max(1, _WRITE_BLOCK // vals.shape[1])
+    _write((_csv_text(vals[i : i + step]) for i in range(0, vals.shape[0], step)), dest)
+
+
+_SIGN_TEXT = np.array(["-1.0", "1.0"], dtype=object)
+
+
+def _csv_text(rows) -> str:
+    """The CSV lines of a block of rows, each ended by a newline."""
+    if np.all(np.abs(rows) == 1.0):
         # the int8 view makes this an index (0 or 1), not a boolean mask
-        rows = np.array(["-1.0", "1.0"], dtype=object)[(vals > 0).view(np.int8)].tolist()
+        cells = _SIGN_TEXT[(rows > 0).view(np.int8)].tolist()
     else:
-        rows = (map(repr, row) for row in vals.tolist())
-    _write("\n".join(map(",".join, rows)) + "\n", dest)
+        cells = (map(repr, row.tolist()) for row in rows)
+    return "\n".join([*map(",".join, cells), ""])
+
+
+# characters where str.splitlines ends a line and a file read with universal
+# newlines does not, and the unit separator 0x1f, which np.loadtxt strips
+# around a value and ``float`` does not
+_IRREGULAR = "\x0b\x0c\x1c\x1d\x1e\x1f"
+# characters of CSV lines that read_csv_matrix reads and checks at a time
+_READ_BLOCK = 1 << 16
 
 
 def read_csv_matrix(source) -> np.ndarray:
@@ -553,13 +627,55 @@ def read_csv_matrix(source) -> np.ndarray:
 
     Cost: the lines go through numpy's C tokenizer (``np.loadtxt``), which
     converts each token with the C routine ``float`` uses, so the values
-    are the same bits; beyond the text, memory holds its lines and the
-    result.  Input that tokenizer rejects, or that holds the unit separator
-    0x1f (which it strips around a value and ``float`` does not), is
-    re-read line by line with one ``float`` per token, to name the first
-    error.
+    are the same bits.  From a regular file of more than _READ_BLOCK bytes
+    the lines are fed to it in batches as the file is read, so beyond the
+    result memory holds a batch of lines and numpy's buffers, not the text:
+    1.1 to 1.7 times the result.  Any other source (a smaller file, a pipe,
+    a file-like object) is read whole and split into lines first, and so
+    is a file that is not ASCII, that holds a character where
+    ``str.splitlines`` ends a line and a file read does not (0x0b, 0x0c,
+    0x1c to 0x1e) or the unit separator 0x1f, or that the tokenizer
+    rejects.  A whole text that the tokenizer rejects, or that
+    holds 0x1f (which the tokenizer strips around a value and ``float``
+    does not), is re-read line by line with one ``float`` per token, to
+    name the first error.
     """
-    text = _read(source)
+    # only a regular file can be read again by the fallback, and one that
+    # fits in a batch gains nothing from streaming
+    if (not hasattr(source, "read") and os.path.isfile(source)
+            and os.path.getsize(source) > _READ_BLOCK):
+        try:
+            with _open_read(source) as fh:
+                lines = _plain_lines(fh)
+                # blank lines alone are the loop's "no rows" error (loadtxt
+                # would warn); loadtxt skips blank lines, so those before
+                # the first row may go
+                first = next((line for line in lines if line != "\n"), None)
+                if first is not None:
+                    return np.loadtxt(
+                        chain([first], lines),
+                        dtype=float, delimiter=",", comments=None, ndmin=2,
+                    )
+        except ValueError:  # UnicodeDecodeError included
+            pass
+    return _csv_from_text(_read(source))
+
+
+def _plain_lines(fh):
+    """The lines of a text file read with universal newlines, each with its
+    newline: the lines ``str.splitlines`` gives of the file's text, as long
+    as no character of _IRREGULAR appears.  Lines are read in batches of
+    about _READ_BLOCK characters, and ValueError is raised at a batch that
+    holds such a character."""
+    while batch := fh.readlines(_READ_BLOCK):
+        text = "".join(batch)
+        if any(c in text for c in _IRREGULAR):
+            raise ValueError("a line holds a character loadtxt must not see")
+        yield from batch
+
+
+def _csv_from_text(text: str) -> np.ndarray:
+    """read_csv_matrix on the whole text of the input."""
     lines = text.splitlines()
     # blank lines alone are the loop's "no rows" error (loadtxt would warn)
     if any(lines) and "\x1f" not in text:

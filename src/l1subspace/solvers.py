@@ -165,6 +165,7 @@ def extrapolate(Q: StiefelPoint, Q_prev: StiefelPoint, gamma: float) -> np.ndarr
 
 
 def _xt_extrapolated(
+    XtQ: np.ndarray,
     F: np.ndarray,
     W: np.ndarray,
     Q: np.ndarray,
@@ -174,13 +175,16 @@ def _xt_extrapolated(
 ) -> np.ndarray:
     """X^T E for E = extrapolate(Q, Q_prev, gamma), as one n x 2K by 2K x d product.
 
-    F is the n x 2K factor [X^T Q, X^T Q']; the 2K x d buffer W is filled with
-    [(1+gamma) Q^T; -gamma Q'^T] and the n x d product is written to ``out``,
-    so nothing is allocated.  For gamma = 0 the product is X^T Q Q^T alone.
+    F is the n x 2K factor [X^T Q, X^T Q']: its right half must hold X^T Q',
+    and its left half is filled here from the n x K product ``XtQ``.  The
+    2K x d buffer W is filled with [(1+gamma) Q^T; -gamma Q'^T] and the
+    n x d product is written to ``out``, so nothing is allocated.  For
+    gamma = 0 the product is X^T Q Q^T alone, and F is not read.
     """
     k = Q.shape[1]
     if gamma == 0.0:
-        return np.matmul(F[:, :k], Q.T, out=out)
+        return np.matmul(XtQ, Q.T, out=out)
+    F[:, :k] = XtQ
     np.multiply(Q.T, 1.0 + gamma, out=W[:k])
     np.multiply(Q_prev.T, -gamma, out=W[k:])
     return np.matmul(F, W, out=out)
@@ -423,23 +427,25 @@ def solve(
     Q = Q_prev = init_Q.values
     # the run's workspace, filled in place every sweep: T holds the n x d
     # product X^T E, F and W its n x 2K and 2K x d factors (see
-    # _xt_extrapolated), F's halves carry X^T Q and X^T Q' between sweeps,
-    # and PQ carries the P Q of the last objective h
+    # _xt_extrapolated), XtQ carries X^T Q between sweeps, contiguous so that
+    # h's inner product reads it in place, F's right half carries X^T Q', and
+    # PQ carries the P Q of the last objective h
     T = np.empty((n, d))
     F = np.empty((n, 2 * K))
     W = np.empty((2 * K, d))
     PQ = np.empty((n, K))
-    XtQ, XtQ_prev = F[:, :K], F[:, K:]
-    np.matmul(Xv.T, Q, out=XtQ)
-    XtQ_prev[...] = XtQ
+    XtQ = np.matmul(Xv.T, Q)
+    F[:, K:] = XtQ
     # P, the sign block, is the only other n x d array; the sign step
     # updates it in place.  P0 = sign(X^T Q0 Q0^T) with ties, signed zeros
-    # included, broken to +1; the extremes decide finiteness as in _sign_step
+    # included, broken to +1, built as 1 - 2 [T < 0]; the extremes decide
+    # finiteness as in _sign_step
     np.matmul(XtQ, Q.T, out=T)
     if not (math.isfinite(float(T.min())) and math.isfinite(float(T.max()))):
         raise NumericError("sign step input has non-finite entries")
-    P = np.ones((n, d))
-    P[T < 0.0] = -1.0
+    P = np.less(T, 0.0, out=np.empty((n, d)))
+    P *= -2.0
+    P += 1.0
 
     gamma = float(config.gamma)
     trace = RunTrace()
@@ -464,7 +470,7 @@ def solve(
     stop_reason = "max_iters"
     final_gap = math.nan
     for k in range(1, config.max_iters + 1):
-        _xt_extrapolated(F, W, Q, Q_prev, gamma, T)
+        _xt_extrapolated(XtQ, F, W, Q, Q_prev, gamma, T)
         flips = _sign_step(P, T, config.alpha)
         # a sweep that flips no sign keeps P bit for bit, so beta(P) and the
         # P Q that the last h formed at this P and Q still hold
@@ -475,7 +481,7 @@ def solve(
                 beta_P = _beta(SVt, P, bm.beta_star, bm.beta_sup)
                 beta_k = max(beta_k, beta_P)
         Q_next = _q_step(Q, _s_times(Xv, P, Q, XtQ, PQ), beta_k)
-        XtQ_prev[...] = XtQ
+        F[:, K:] = XtQ
         np.matmul(Xv.T, Q_next, out=XtQ)
 
         # entries are +/-1, so each flipped sign adds 4 to ||P_next - P||^2

@@ -6,7 +6,6 @@ import os
 import stat
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,6 +24,8 @@ from l1subspace import (
     write_pgm,
 )
 from l1subspace.cli import main
+
+from traced import traced_peak
 
 
 def run_cli(*argv):
@@ -456,12 +457,9 @@ class TestSolve:
         peaks = []
         for sweeps in (10, 200):
             out = tmp_path / f"run{sweeps}"
-            tracemalloc.start()
-            try:
-                code = run_cli(*solve_args(out, data, tol=1e-300, max_iters=sweeps))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            code, peak = traced_peak(run_cli, *solve_args(out, data, tol=1e-300,
+                                                           max_iters=sweeps))
+            peaks.append(peak)
             assert code == 0
             report = json.loads((out / "report.json").read_text())
             assert report["results"]["iterations"] == sweeps
@@ -504,14 +502,10 @@ class TestBench:
         peaks = []
         for sweeps in (10, 200):
             out = tmp_path / f"bench{sweeps}"
-            tracemalloc.start()
-            try:
-                code = run_cli("bench", "--out", out, "--d", 3000, "--n", 6, "--k", 2,
-                               "--sigma", 0.5, "--reps", 1, "--beta", 20,
-                               "--tol", 1e-300, "--max-iters", sweeps)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            code, peak = traced_peak(run_cli, "bench", "--out", out, "--d", 3000, "--n", 6,
+                                     "--k", 2, "--sigma", 0.5, "--reps", 1, "--beta", 20,
+                                     "--tol", 1e-300, "--max-iters", sweeps)
+            peaks.append(peak)
             assert code == 0
             rows = (out / "bench.csv").read_text().splitlines()
             assert rows[1].split(",")[5] == str(sweeps)
@@ -606,12 +600,7 @@ class TestCluster:
         argv = ("cluster", "--libsvm", path, "--threshold", 0.3, "--reps", 2, "--beta", 20)
         # a first run loads what the command caches or imports on first use
         assert run_cli(*argv, "--out", tmp_path / "warm") == 0
-        tracemalloc.start()
-        try:
-            code = run_cli(*argv, "--out", tmp_path / "c")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(run_cli, *argv, "--out", tmp_path / "c")
         assert code == 0
         assert peak < 4.5 * 4000 * 40 * 8
 
@@ -687,6 +676,24 @@ class TestReconstruct:
 
     def test_requires_some_input(self, tmp_path):
         assert run_cli("reconstruct", "--out", tmp_path / "r") == 2
+
+    def test_peak_memory_stays_below_six_stacks(self, tmp_path):
+        # a 120 x 120 image: one d x n stack (d = 14400, n = 9) is 1.04 MB.
+        # The peak, 5.3 stacks here, is in the solve: X, the sign block, the
+        # product buffer, the d x 2K and d x K factors (0.44 and 0.22 of a
+        # stack each at n = 9) and the flipped signs of a sweep that turns
+        # 44% of them; after it the run holds X, final_P, the projection
+        # and the rebuilt stack.  Keeping the corrupted images and their
+        # column stack beside X, copying the centered stack into X and the
+        # rebuilt one into its clip, peaked at 7.2 stacks
+        clean_path = tmp_path / "clean.pgm"
+        write_pgm(_structured_image(np.random.default_rng(7), side=120), clean_path)
+        argv = ("reconstruct", "--image", clean_path, "--k", 2, "--max-iters", 20)
+        # a first run loads what the command caches or imports on first use
+        assert run_cli(*argv, "--out", tmp_path / "warm") == 0
+        code, peak = traced_peak(run_cli, *argv, "--out", tmp_path / "r")
+        assert code == 0
+        assert peak < 6.0 * 14400 * 9 * 8
 
     def test_negative_p2_pixel_is_data_error(self, tmp_path, capsys):
         clean = tmp_path / "clean.pgm"

@@ -6,9 +6,9 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +40,9 @@ from l1subspace.data import (
     _rescale_to_range,
 )
 from l1subspace.errors import DomainError, NumericError, ParseError, ShapeError
+from l1subspace.linalg import polar_factor
+
+from traced import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +71,7 @@ class TestLaplaceSample:
 
     def test_array_input_matches_scalar(self):
         us = np.array([0.1, 0.5, 0.9])
-        out = _laplace_from_uniform(1.2, us)
+        out = _laplace_from_uniform(1.2, us.copy())  # the draw is overwritten
         assert out.shape == (3,)
         for i in range(3):
             assert out[i] == _laplace_from_uniform(1.2, float(us[i]))
@@ -136,6 +139,33 @@ class TestGenSynthetic:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="non-finite"):
                 gen_synthetic(3, 4, 2, 1e308, 0)
+
+    @pytest.mark.parametrize("shape", [(12, 40, 3, 0.5), (200, 500, 20, 0.5), (1, 9, 1, 2.0),
+                                       (10, 30, 4, 0.0)])
+    def test_in_place_build_keeps_the_bits_of_the_formula(self, shape):
+        # the out-of-place formula the generator evaluated before it built
+        # X in place: X = Q S + laplace(u), minus its row means
+        d, n, k, sigma = shape
+        rng = np.random.default_rng(5)
+        Q = polar_factor(rng.standard_normal((d, k)))
+        X = Q @ rng.standard_normal((k, n))
+        if sigma > 0.0:
+            u = rng.random((d, n))
+            u = np.where(u == 0.0, 0.5, u)
+            shifted = u - 0.5
+            b = sigma / math.sqrt(2.0)
+            X = X + -b * np.sign(shifted) * np.log1p(-2.0 * np.abs(shifted))
+        X = X - X.mean(axis=1, keepdims=True)
+        got, truth = gen_synthetic(d, n, k, sigma, 5)
+        assert got.values.tobytes() == X.tobytes()
+        assert truth.Q_true.values.tobytes() == Q.tobytes()
+
+    def test_peak_stays_near_three_blocks(self):
+        # X, its uniform draw and the noise: building the noise and the
+        # centered X out of place, and copying X into the DataMatrix, peaked
+        # at 6.08 blocks of 40 x 20000 floats
+        (X, _), peak = traced_peak(gen_synthetic, 40, 20000, 3, 0.5, 0)
+        assert peak < 3.2 * X.values.nbytes
 
 
 class TestCenterFeatures:
@@ -288,12 +318,7 @@ class TestParseLibsvm:
         rate = np.where(np.arange(40)[:, None] // 10 == labels, 1.2, 0.15)
         path = tmp_path / "block.txt"
         write_libsvm(LabeledDataset(DataMatrix(rng.poisson(rate).astype(float)), labels), path)
-        tracemalloc.start()
-        try:
-            parse_libsvm(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(parse_libsvm, path)
         assert peak < 4.5e6
 
 
@@ -325,6 +350,17 @@ class TestWriteLibsvm:
         write_libsvm(ds, path)
         back = parse_libsvm(path)
         assert np.array_equal(back.features.values, np.eye(3))
+
+    def test_write_memory_stays_below_the_matrix(self, tmp_path):
+        # 40 x 20000 word counts (6.4 MB of values): the text of one block
+        # of samples at a time peaked at 0.34 times the matrix here, the
+        # whole file's entry strings and lines at 4.07 times
+        rng = np.random.default_rng(0)
+        labels = np.arange(20000) % 4
+        rate = np.where(np.arange(40)[:, None] // 10 == labels, 1.2, 0.15)
+        ds = LabeledDataset(DataMatrix(rng.poisson(rate).astype(float)), labels)
+        _, peak = traced_peak(write_libsvm, ds, tmp_path / "block.txt")
+        assert peak < 1.0 * ds.features.values.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -583,21 +619,48 @@ class TestCsvMatrix:
             read_csv_matrix(io.StringIO(""))
 
     def test_read_memory_stays_below_the_token_lists(self, tmp_path):
-        # a 200 x 500 file (2.0 MB of text, 0.8 MB of values): reading it
-        # through its lines peaked at 4.9 MB here, the per-line float loop
-        # at 7.3 MB, a StringIO for loadtxt at 10.0 MB and splitting the
-        # joined lines into one token list at 11.6 MB
+        # a 200 x 500 file (2.0 MB of text, 0.8 MB of values): feeding its
+        # lines to loadtxt as the file is read peaked at 1.1 MB here (numpy
+        # 2.4); reading the whole text first, and then handing loadtxt the
+        # list of its lines, at 4.9 MB, the per-line float loop at 7.3 MB,
+        # a StringIO for loadtxt at 10.8 MB and splitting the joined lines
+        # into one token list at 13.6 MB
         X, _ = gen_synthetic(200, 500, 20, 0.5, seed=0)
         path = tmp_path / "X.csv"
         write_csv_matrix(X.values, path)
-        tracemalloc.start()
-        try:
-            back = read_csv_matrix(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        back, peak = traced_peak(read_csv_matrix, path)
         assert back.tobytes() == X.values.tobytes()
-        assert peak < 6.0e6
+        assert peak < 1.4e6
+
+    def test_streamed_read_stays_below_twice_the_matrix(self, tmp_path):
+        # 400 x 2000 floats (6.4 MB): the result, the row capacity loadtxt
+        # grows ahead of it and a batch of lines; the whole text and its
+        # lines peaked at 6.1 times the matrix
+        vals = np.random.default_rng(4).standard_normal((400, 2000))
+        path = tmp_path / "X.csv"
+        write_csv_matrix(vals, path)
+        back, peak = traced_peak(read_csv_matrix, path)
+        assert back.tobytes() == vals.tobytes()
+        assert peak < 1.7 * vals.nbytes
+
+    def test_float_write_stays_below_the_matrix(self, tmp_path):
+        # 40 x 20000 floats (6.4 MB): the strings of one block of about
+        # 64 k entries at a time peaked at 0.65 times the matrix here, the
+        # whole file's cell strings and text at 6.7 times
+        vals = np.random.default_rng(4).standard_normal((40, 20000))
+        _, peak = traced_peak(write_csv_matrix, vals, tmp_path / "X.csv")
+        assert peak < 1.0 * vals.nbytes
+
+    def test_sign_block_write_stays_below_a_fifth_of_the_block(self, tmp_path):
+        # a 40000 x 40 sign block (12.8 MB): one block of rows at a time
+        # through the two-entry table peaked at 0.13 of it here; testing
+        # the whole block at once with np.abs and indexing the table with
+        # it, at 2.5
+        signs = np.where(np.random.default_rng(4).random((40000, 40)) < 0.5, -1.0, 1.0)
+        path = tmp_path / "P.csv"
+        _, peak = traced_peak(write_csv_matrix, signs, path)
+        assert peak < 0.2 * signs.nbytes
+        assert read_csv_matrix(path).tobytes() == signs.tobytes()
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (500, 200)])
     def test_sign_block_text_is_repr_of_each_entry(self, shape):
@@ -944,11 +1007,13 @@ def _sparse_datasets(draw):
     return LabeledDataset(DataMatrix(np.reshape(values, (d, n))), np.asarray(labels))
 
 
-@given(ds=_sparse_datasets())
+@given(ds=_sparse_datasets(), block=st.integers(1, 40))
 @settings(deadline=None, max_examples=300)
-def test_write_libsvm_matches_per_column_reference(ds):
+def test_write_libsvm_matches_per_column_reference(ds, block):
+    # a small block of entries puts a few samples in each chunk of text
     buf = io.StringIO()
-    write_libsvm(ds, buf)
+    with mock.patch.object(l1subspace.data, "_WRITE_BLOCK", block):
+        write_libsvm(ds, buf)
     assert buf.getvalue() == _reference_write_libsvm(ds)
 
 
@@ -1002,11 +1067,15 @@ def _csv_soup(draw):
 
 
 def _csv_outcome(read, text):
-    try:
-        values = read(text)
-    except ParseError as exc:
-        return str(exc)
-    return values.shape, values.tobytes()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            values = read(text)
+        except ParseError as exc:
+            result = str(exc)
+        else:
+            result = (values.shape, values.tobytes())
+    return result, [(w.category, str(w.message)) for w in caught]
 
 
 @given(text=st.one_of(st.text(alphabet=_CSV_ALPHABET), _csv_soup()))
@@ -1018,3 +1087,115 @@ def test_read_csv_matrix_matches_per_line_reference(text):
     assert _csv_outcome(lambda t: read_csv_matrix(io.StringIO(t)), text) == _csv_outcome(
         _reference_read_csv_matrix, text
     )
+
+
+def _whole_text_read_csv_matrix(source):
+    """read_csv_matrix as it read every source before it streamed from a
+    path: the whole text, split by str.splitlines and handed to np.loadtxt,
+    and the per-line loop wherever that fails.  ``source`` is bytes, which
+    must be ASCII, or str, which is taken as it is."""
+    text = source
+    if isinstance(source, bytes):
+        try:
+            text = source.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"byte {exc.start}: {source[exc.start]:#04x} is not ASCII text"
+            ) from None
+    lines = text.splitlines()
+    if any(lines) and "\x1f" not in text:
+        try:
+            return np.loadtxt(lines, dtype=float, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    return _reference_read_csv_matrix(text)
+
+
+@st.composite
+def _csv_bytes(draw):
+    """CSV soup as bytes, a quarter of it with a non-ASCII byte inserted."""
+    data = draw(st.one_of(st.text(alphabet=_CSV_ALPHABET), _csv_soup())).encode("ascii")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\x80", b"\x85", b"\xc3\xa9", b"\xff"])) + data[at:]
+    return data
+
+
+@given(data=_csv_bytes(), kind=st.sampled_from(["path", "bytes", "text"]),
+       batch=st.integers(0, 16))
+@example(data=b"\n\r\n\r", kind="path", batch=1)  # blank lines alone
+@example(data=b"\n \n", kind="path", batch=1)
+@example(data=b"1.0,2.0\x1f\n", kind="path", batch=1)
+@example(data=b"1,2\r3,4\r\n5,6\x0c7,8\n", kind="path", batch=1)
+@settings(deadline=None, max_examples=400)
+def test_read_csv_matrix_matches_whole_text_reference(scratch_file, data, kind, batch):
+    # the same array bits, or the same ParseError text, and no warning, from
+    # a path read in batches of a few lines (a file of at most ``batch``
+    # bytes is read whole) and from file-like sources
+    if kind == "path":
+        scratch_file.write_bytes(data)
+        source = scratch_file
+    elif kind == "bytes":
+        source = io.BytesIO(data)
+    else:
+        data = data.decode("latin-1")
+        source = io.StringIO(data)
+    with mock.patch.object(l1subspace.data, "_READ_BLOCK", batch):
+        got = _csv_outcome(read_csv_matrix, source)
+    assert got == _csv_outcome(_whole_text_read_csv_matrix, data)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_malformed_csv_from_a_pipe_names_its_line():
+    # a pipe, as the shell's <(...) passes one, cannot be read twice, so it
+    # is read whole, and the error still names the bad line
+    r, w = os.pipe()
+    try:
+        os.write(w, b"1.0,2.0\n3.0,zap\n")
+        os.close(w)
+        with pytest.raises(ParseError, match="line 2: bad numeric value"):
+            read_csv_matrix(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+def test_crlf_split_across_the_file_buffer_is_one_line_end(tmp_path):
+    # the first line is 8191 bytes, so "\r\n" straddles the first 8 kB
+    # read of the file, which is streamed in batches of one line
+    first = ",".join(["1.0"] * 2046 + ["1.00000"])
+    assert len(first) == 8191
+    data = (first + "\r\n" + first + "\r\n").encode("ascii")
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(data)
+    with mock.patch.object(l1subspace.data, "_READ_BLOCK", 1):
+        back = read_csv_matrix(path)
+    assert back.shape == (2, 2047)
+    assert back.tobytes() == _whole_text_read_csv_matrix(data).tobytes()
+
+
+@st.composite
+def _mixed_matrices(draw):
+    """Matrices whose rows are sign rows or rows of any floats, so that
+    blocks of rows take either path of the writer."""
+    d, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rows = []
+    for _ in range(d):
+        if draw(st.booleans()):
+            rows.append(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+        else:
+            cells = st.one_of(st.floats(), st.sampled_from([1.0, -1.0, 0.0, -0.0]))
+            rows.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    return np.array(rows, dtype=float)
+
+
+@given(vals=_mixed_matrices(), block=st.integers(1, 40))
+@settings(deadline=None, max_examples=300)
+def test_write_csv_matrix_matches_join_reference(scratch_file, vals, block):
+    # a small block of entries puts a few rows in each chunk of text; a
+    # path gets the same bytes as a text buffer
+    buf = io.StringIO()
+    with mock.patch.object(l1subspace.data, "_WRITE_BLOCK", block):
+        write_csv_matrix(vals, buf)
+        write_csv_matrix(vals, scratch_file)
+    assert buf.getvalue() == _reference_csv_text(vals)
+    assert scratch_file.read_bytes() == buf.getvalue().encode("ascii")

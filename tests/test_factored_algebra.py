@@ -61,9 +61,9 @@ def assert_close(got, want):
 def test_sign_step_input_matches_dense_extrapolation(problem):
     X, Q, Q_prev, _, gamma = problem
     Xt = X.values.T
-    F = np.hstack([Xt @ Q.values, Xt @ Q_prev.values])
+    F = np.hstack([np.full((X.n, Q.k), np.nan), Xt @ Q_prev.values])
     W, out = np.empty((2 * Q.k, X.d)), np.empty((X.n, X.d))
-    got = _xt_extrapolated(F, W, Q.values, Q_prev.values, gamma, out)
+    got = _xt_extrapolated(Xt @ Q.values, F, W, Q.values, Q_prev.values, gamma, out)
     assert got is out
     assert_close(got, Xt @ extrapolate(Q, Q_prev, gamma))
 

@@ -1,7 +1,6 @@
 """Tests for quality metrics, rate fitting, clustering, and reconstruction."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +25,8 @@ from l1subspace import (
 )
 from l1subspace.errors import DomainError, ShapeError
 from l1subspace.metrics import KMEANS_MAX_ITERS, KMEANS_RESTARTS, _lloyd
+
+from traced import traced_peak
 
 
 def centered(values):
@@ -382,12 +383,7 @@ def test_lloyd_memory_is_linear_in_points_times_clusters():
     rng = np.random.default_rng(13)
     pts = rng.standard_normal((20000, 7))
     centers = pts[:10].copy()
-    tracemalloc.start()
-    try:
-        _lloyd(pts, centers, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(_lloyd, pts, centers, 3)
     assert peak < 8e6
 
 

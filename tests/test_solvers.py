@@ -46,6 +46,7 @@ from l1subspace.solvers import (
 )
 
 from dense_reference import sign_select
+from traced import traced_peak
 
 
 def centered(values):
@@ -398,17 +399,16 @@ def test_tall_problem_never_forms_a_d_by_d_matrix():
     rng = np.random.default_rng(21)
     X = random_centered(4000, 6, rng)
     cfg = practical_config(max_iters=5, tol=1e-14)
-    tracemalloc.start()
-    try:
+
+    def run():
         rep = solve(X, cfg, random_stiefel(4000, 2, 0), snapshots=False)
         # after 5 sweeps final_P need not match sign(X^T Q Q^T) yet; rebuild
         # it so the residual runs its full S Q path instead of the sign check
         Q = rep.final_Q.values
         P = SignMatrix(sign_select((X.values.T @ Q) @ Q.T, np.ones((6, 4000))))
-        residual = criticality_residual(rep.final_Q, P, X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return rep, criticality_residual(rep.final_Q, P, X)
+
+    (rep, residual), peak = traced_peak(run)
     assert rep.iterations == 5
     assert np.isfinite(residual)
     assert peak < 16 * 2**20
@@ -419,13 +419,8 @@ def test_tall_theory_solve_never_forms_a_d_by_d_matrix():
     # would be 32 MB, while the factor (Sigma V^T) P is only r x d
     rng = np.random.default_rng(22)
     X = random_centered(2000, 6, rng)
-    tracemalloc.start()
-    try:
-        rep = solve(X, theory_config(max_iters=2, tol=1e-14),
-                    random_stiefel(2000, 2, 0), snapshots=False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(solve, X, theory_config(max_iters=2, tol=1e-14),
+                            random_stiefel(2000, 2, 0), snapshots=False)
     assert rep.iterations == 2
     assert peak < 8 * 2**20
 
@@ -785,11 +780,32 @@ def test_wide_solve_peaks_below_three_sign_blocks():
     X = random_centered(40, 4000, np.random.default_rng(38))
     cfg = practical_config(max_iters=30, tol=1e-300)
     Q0 = random_stiefel(40, 3, 1)
-    tracemalloc.start()
-    try:
-        rep = solve(X, cfg, Q0, snapshots=False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(solve, X, cfg, Q0, snapshots=False)
     assert rep.iterations == 30
     assert peak < 2.6 * 4000 * 40 * 8
+
+
+def test_sweep_that_flips_no_sign_allocates_less_than_an_n_by_k_block(monkeypatch):
+    # X^T Q once lived in a strided half of the n x 2K factor, and h's inner
+    # product copied it, one n x K block (96 kB at n = 4000, K = 3), every
+    # sweep.  Each sweep's growth is read between two _record calls: the
+    # peak since the last one, less what was live after it
+    X = random_centered(40, 4000, np.random.default_rng(38))
+    Q0 = solve(X, practical_config(), random_stiefel(40, 3, 1)).final_Q
+    growth = []
+    live_after = None
+    record = solvers._record
+
+    def measured(trace, snapshots, k, phi, h, dP, dQ, gap, Q):
+        nonlocal live_after
+        if k > 0 and dP == 0.0:  # dP = 2 sqrt(flips)
+            growth.append(tracemalloc.get_traced_memory()[1] - live_after)
+        record(trace, snapshots, k, phi, h, dP, dQ, gap, Q)
+        tracemalloc.reset_peak()
+        live_after = tracemalloc.get_traced_memory()[0]
+
+    monkeypatch.setattr(solvers, "_record", measured)
+    rep, _ = traced_peak(solve, X, practical_config(max_iters=6, tol=1e-300), Q0)
+    assert rep.iterations == 6
+    assert len(growth) >= 3
+    assert max(growth) < 4000 * 3 * 8
