@@ -35,7 +35,7 @@ print(f"energy rule keeps K = {K} of {X.d} dimensions")
 
 config = SolverConfig(alpha=1e-6, beta_mode=FixedBeta(20.0), gamma=1.0,
                       max_iters=1000, tol=1e-6)
-report = solve(X, config, random_stiefel(X.d, K, seed=1), snapshots=False)
+report = solve(X, config, random_stiefel(X.d, K, seed=1))
 print(f"solver: {report.iterations} sweeps, objective {report.final_objective:.2f}")
 
 # cluster the K-dimensional projections instead of the raw features

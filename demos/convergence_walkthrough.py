@@ -72,7 +72,7 @@ theory_config = SolverConfig(
     theory_mode=True,
 )
 theory_report = solve(X, theory_config, random_stiefel(X.d, 3, seed=1))
-audit = sufficient_decrease_check(theory_report.trace, theory_config, X=X)
+audit = sufficient_decrease_check(theory_report.trace, theory_config)
 
 print(f"\ntheory run stopped after {theory_report.iterations} sweeps, "
       f"extrapolation capped at gamma* = {theory_report.trace.gamma_star:.3e}")

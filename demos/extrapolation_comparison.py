@@ -29,7 +29,7 @@ for seed in range(5):
     for gamma in (1.0, 0.0):
         config = SolverConfig(alpha=1e-6, beta_mode=FixedBeta(20.0),
                               gamma=gamma, max_iters=1000, tol=1e-6)
-        report = solve(X, config, init_Q, snapshots=False)
+        report = solve(X, config, init_Q)
         # both variants share X, so its singular values are computed once
         scores[gamma] = tev(X, report.final_Q)
         sweeps[gamma] = report.iterations

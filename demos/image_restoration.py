@@ -49,7 +49,7 @@ X = DataMatrix(columns - means, centered=True)
 config = SolverConfig(alpha=1e-6, beta_mode=FixedBeta(100.0), gamma=1.0,
                       max_iters=1000, tol=1e-3)
 start = time.perf_counter()
-report = solve(X, config, random_stiefel(X.d, 2, seed=0), snapshots=False)
+report = solve(X, config, random_stiefel(X.d, 2, seed=0))
 elapsed = time.perf_counter() - start
 print(f"solver: {report.iterations} sweeps on a {X.d} x {X.n} stack in {elapsed:.2f} s")
 

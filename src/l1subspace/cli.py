@@ -66,6 +66,7 @@ from .metrics import choose_k_energy, clustering_accuracy, kmeans, reconstruct, 
 from .solvers import (
     RunReport,
     RunTrace,
+    _record,
     check_alpha_condition,
     criticality_residual,
     gamma_star,
@@ -288,11 +289,7 @@ def parse_trace_csv(text: str) -> RunTrace:
             raise CliError(EXIT_DATA, f"trace row {row_index}: bad numeric field") from None
         if k != row_index:
             raise CliError(EXIT_DATA, f"trace row {row_index}: non-consecutive iteration {k}")
-        trace.phi.append(phi)
-        trace.h.append(h)
-        trace.dP.append(dP)
-        trace.dQ.append(dQ)
-        trace.gap.append(gap)
+        _record(trace, False, phi, h, dP, dQ, gap, None)
     if not trace.phi:
         raise CliError(EXIT_DATA, "trace file holds no iterations")
     return trace
@@ -363,16 +360,18 @@ def cmd_synth(resolved: dict, out: str) -> None:
 # solve
 
 
+def _tev(X: DataMatrix, Q: StiefelPoint) -> float:
+    """tev(X, Q), or nan where it is undefined (X = 0)."""
+    with contextlib.suppress(DomainError):
+        return tev(X, Q)
+    return math.nan
+
+
 def cmd_solve(resolved: dict, out: str) -> None:
     config = build_solver_config(resolved)
     X = load_feature_matrix(resolved)
     report = _run_solver(X, config, resolved["k"], resolved["seed"])
-    tev_value = None
-    if resolved["tev"]:
-        try:
-            tev_value = tev(X, report.final_Q)
-        except DomainError:
-            tev_value = None
+    tev_value = _tev(X, report.final_Q) if resolved["tev"] else None
     _write(trace_csv_text(report.trace).encode("utf-8"), os.path.join(out, "trace.csv"))
     write_csv_matrix(report.final_Q.values, os.path.join(out, "final_Q.csv"))
     write_csv_matrix(report.final_P.values, os.path.join(out, "final_P.csv"))
@@ -742,6 +741,19 @@ def cmd_check(resolved: dict, out: None) -> None:
             consistent = False
             shown = "null" if stored_gs is None else f"{stored_gs:.9e}"
             detail += f"; gamma_star stored {shown}, recomputed {gs:.9e}"
+    stored_holds = results.get("alpha_condition_holds")
+    if not isinstance(stored_holds, bool):
+        raise CliError(EXIT_DATA, "corrupt report: 'alpha_condition_holds' is not a boolean")
+    if stored_holds is not holds:
+        consistent = False
+        detail += f"; alpha_condition_holds stored {json.dumps(stored_holds)}, recomputed {json.dumps(holds)}"
+    stored_tev = _stored_number(results, "tev")
+    # null where solve ran with --no-tev or tev is undefined (X = 0)
+    if stored_tev is not None:
+        recomputed_tev = _tev(X, final_Q)
+        if not _agrees(stored_tev, recomputed_tev):
+            consistent = False
+            detail += f"; tev stored {stored_tev:.9e}, recomputed {recomputed_tev:.9e}"
     checks.append(("report consistency", consistent, detail))
 
     if config.theory_mode:

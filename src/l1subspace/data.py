@@ -627,23 +627,20 @@ def read_csv_matrix(source) -> np.ndarray:
 
     Cost: the lines go through numpy's C tokenizer (``np.loadtxt``), which
     converts each token with the C routine ``float`` uses, so the values
-    are the same bits.  From a regular file of more than _READ_BLOCK bytes
-    the lines are fed to it in batches as the file is read, so beyond the
-    result memory holds a batch of lines and numpy's buffers, not the text:
-    1.1 to 1.7 times the result.  Any other source (a smaller file, a pipe,
-    a file-like object) is read whole and split into lines first, and so
-    is a file that is not ASCII, that holds a character where
-    ``str.splitlines`` ends a line and a file read does not (0x0b, 0x0c,
-    0x1c to 0x1e) or the unit separator 0x1f, or that the tokenizer
-    rejects.  A whole text that the tokenizer rejects, or that
-    holds 0x1f (which the tokenizer strips around a value and ``float``
-    does not), is re-read line by line with one ``float`` per token, to
-    name the first error.
+    are the same bits.  From a regular file the lines are fed to it in
+    batches as the file is read, so beyond the result memory holds a batch
+    of lines and numpy's buffers, not the text: 1.1 to 1.7 times the
+    result.  Any other source (a pipe, a file-like object) is read whole
+    and split into lines first, and so is a file that is not ASCII, that
+    holds a character where ``str.splitlines`` ends a line and a file read
+    does not (0x0b, 0x0c, 0x1c to 0x1e) or the unit separator 0x1f, or that
+    the tokenizer rejects.  A whole text that the tokenizer rejects, or
+    that holds 0x1f (which the tokenizer strips around a value and
+    ``float`` does not), is re-read line by line with one ``float`` per
+    token, to name the first error.
     """
-    # only a regular file can be read again by the fallback, and one that
-    # fits in a batch gains nothing from streaming
-    if (not hasattr(source, "read") and os.path.isfile(source)
-            and os.path.getsize(source) > _READ_BLOCK):
+    # only a regular file can be read again by the fallback
+    if not hasattr(source, "read") and os.path.isfile(source):
         try:
             with _open_read(source) as fh:
                 lines = _plain_lines(fh)

@@ -25,8 +25,8 @@ KMEANS_RESTARTS = 10
 
 
 class GapTraces(NamedTuple):
-    """Per-snapshot distances to the run's final iterate, aligned with
-    ``trace.snapshot_iters``."""
+    """Per-iteration distances to the run's final iterate: entry k describes
+    iterate k."""
 
     function_gaps: np.ndarray
     iterate_gaps: np.ndarray
@@ -74,18 +74,16 @@ def tev(X: DataMatrix, Q: StiefelPoint) -> float:
 
 
 def gap_traces(trace: RunTrace, final: StiefelPoint) -> GapTraces:
-    """Distances of the stored snapshots to the final iterate.
+    """Distances of every iterate to the final one.
 
-    Function gaps are h(P^k, Q^k) - h at the last recorded iteration (the
-    objective h is recorded every iteration); iterate gaps are
-    ||Q^k - Q*||_F over the stored snapshots.  Both sequences align with
-    ``trace.snapshot_iters``.
+    Function gaps are h(P^k, Q^k) - h at the last iteration; iterate gaps
+    are ||Q^k - Q*||_F over the Q snapshots, which a run keeps for every
+    iteration when ``solve`` is called with ``snapshots=True``.  Entry k of
+    both describes iterate k.
     """
-    if not trace.snapshot_iters:
+    if not trace.q_snapshots:
         raise DomainError("trace holds no iterate snapshots")
-    h = np.asarray(trace.h)
-    h_star = h[-1]
-    function_gaps = np.array([h[k] - h_star for k in trace.snapshot_iters])
+    function_gaps = np.asarray(trace.h) - trace.h[-1]
     iterate_gaps = np.array(
         [np.linalg.norm(Qk - final.values) for Qk in trace.q_snapshots]
     )

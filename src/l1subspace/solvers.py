@@ -82,8 +82,6 @@ from .errors import (
 )
 from .linalg import polar_factor, spectral_norm
 
-# iterations whose index exceeds this are snapshot-thinned to every tenth
-SNAPSHOT_DENSE_LIMIT = 10_000
 # entries of X^T Q Q^T at or below this magnitude count as zero
 ZERO_TOL = 1e-12
 # margin by which theory mode keeps gamma strictly below gamma_star
@@ -98,8 +96,7 @@ class RunTrace:
     fields hold nan there.  ``gap[k]`` is the full triple step
     ||C^k - C^{k-1}||_F including the trailing Q block.  Q snapshots, read-only
     d x K arrays, exist only when ``solve`` runs with ``snapshots=True``: then
-    they are kept for every iteration up to ``SNAPSHOT_DENSE_LIMIT`` and every
-    tenth one beyond that.
+    ``q_snapshots[k]`` is iterate k, for every k.
     """
 
     phi: list[float] = field(default_factory=list)
@@ -107,7 +104,6 @@ class RunTrace:
     dP: list[float] = field(default_factory=list)
     dQ: list[float] = field(default_factory=list)
     gap: list[float] = field(default_factory=list)
-    snapshot_iters: list[int] = field(default_factory=list)
     q_snapshots: list[np.ndarray] = field(default_factory=list)
     gamma_star: float | None = None
 
@@ -379,15 +375,14 @@ def check_alpha_condition(X: DataMatrix, Q: StiefelPoint, alpha_star: float) -> 
     return _alpha_holds(np.abs(T, out=T), alpha_star)
 
 
-def _record(trace, snapshots, k, phi, h, dP, dQ, gap, Q):
+def _record(trace, snapshots, phi, h, dP, dQ, gap, Q):
     trace.phi.append(phi)
     trace.h.append(h)
     trace.dP.append(dP)
     trace.dQ.append(dQ)
     trace.gap.append(gap)
-    if snapshots and (k <= SNAPSHOT_DENSE_LIMIT or k % 10 == 0):
+    if snapshots:
         Q.setflags(write=False)
-        trace.snapshot_iters.append(k)
         trace.q_snapshots.append(Q)
 
 
@@ -463,7 +458,7 @@ def solve(
 
     iterations = 0
     h0 = h_from_factors(P, Q, XtQ, out=PQ)
-    _record(trace, snapshots, 0, h0, h0, math.nan, math.nan, math.nan, Q)
+    _record(trace, snapshots, h0, h0, math.nan, math.nan, math.nan, Q)
 
     beta_star_phi = config.beta_star
     dQ_prev = 0.0
@@ -493,7 +488,7 @@ def solve(
 
         hk = h_from_factors(P, Q, XtQ, out=PQ)
         phik = hk + 0.5 * beta_star_phi * dQ * dQ
-        _record(trace, snapshots, k, phik, hk, dP, dQ, gap, Q)
+        _record(trace, snapshots, phik, hk, dP, dQ, gap, Q)
 
         if gap < config.tol:
             stop_reason = "tolerance"
@@ -528,25 +523,22 @@ def solve(
     )
 
 
-def sufficient_decrease_check(
-    trace: RunTrace, config: SolverConfig, X: DataMatrix | None = None
-) -> DecreaseReport:
+def sufficient_decrease_check(trace: RunTrace, config: SolverConfig) -> DecreaseReport:
     """Audit Phi(C^k) - Phi(C^{k-1}) <= -kappa1 ||C^k - C^{k-1}||_F^2 on a
     theory-mode trace, with slack 1e-9 (1 + |Phi|) per comparison.
 
-    gamma_star comes from the trace when present, otherwise it is recomputed
-    from X.  Returns the violating iteration indices under both readings of
-    the constant.  The audit fails closed: a step whose inequality cannot be
-    evaluated, because Phi or the step gap is NaN, counts as a violation.
+    kappa1 rests on the trace's gamma_star, which every theory-mode ``solve``
+    records; a trace without it is a DomainError.  Returns the violating
+    iteration indices under both readings of the constant.  The audit fails
+    closed: a step whose inequality cannot be evaluated, because Phi or the
+    step gap is NaN, counts as a violation.
     """
     if not config.theory_mode:
         raise DomainError("the decrease guarantee only covers theory-mode runs")
     bm = config.beta_mode
     gs = trace.gamma_star
     if gs is None:
-        if X is None:
-            raise DomainError("trace lacks gamma_star; pass X to recompute it")
-        gs = gamma_star(config.alpha, bm.beta_star, X)
+        raise DomainError("trace lacks gamma_star")
     alpha_term = config.alpha * (1.0 - gs) / 2.0
     kappa1 = min(alpha_term, bm.beta_sup / 4.0)
     kappa1_weak = min(alpha_term, bm.beta_star / 4.0)

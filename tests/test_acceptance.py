@@ -153,7 +153,7 @@ def test_criterion_03_sufficient_decrease():
             theory_mode=True,
         )
         report = solve(X, config, random_stiefel(30, 3, seed=seed + 500))
-        audit = sufficient_decrease_check(report.trace, config, X=X)
+        audit = sufficient_decrease_check(report.trace, config)
         assert audit.checked >= 1
         assert audit.violations == ()
         assert audit.violations_weak == ()

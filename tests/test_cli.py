@@ -1012,6 +1012,51 @@ class TestCheck:
         path.write_text(json.dumps(report))
         assert run_cli("check", "--run", finished_run) == 3
 
+    def test_falsified_alpha_condition_fails_consistency(self, finished_run, capsys):
+        # check recomputes the alpha test and once only printed it
+        path = finished_run / "report.json"
+        report = json.loads(path.read_text())
+        holds = report["results"]["alpha_condition_holds"]
+        report["results"]["alpha_condition_holds"] = not holds
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", finished_run) == 5
+        printed = capsys.readouterr().out
+        assert "criticality: PASS" in printed
+        assert "report consistency: FAIL" in printed
+        assert (f"; alpha_condition_holds stored {json.dumps(not holds)}, "
+                f"recomputed {json.dumps(holds)})") in printed
+
+    @pytest.mark.parametrize("value", ["true", 1, None])
+    def test_non_boolean_alpha_condition_is_corrupt(self, finished_run, value, capsys):
+        path = finished_run / "report.json"
+        report = json.loads(path.read_text())
+        report["results"]["alpha_condition_holds"] = value
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", finished_run) == 3
+        assert capsys.readouterr().err == (
+            "error: corrupt report: 'alpha_condition_holds' is not a boolean\n")
+
+    def test_falsified_tev_fails_consistency(self, finished_run, capsys):
+        path = finished_run / "report.json"
+        report = json.loads(path.read_text())
+        assert 0.5 < report["results"]["tev"] <= 1.0
+        report["results"]["tev"] = 0.01
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", finished_run) == 5
+        printed = capsys.readouterr().out
+        assert "criticality: PASS" in printed
+        assert "report consistency: FAIL" in printed
+        assert "; tev stored 1.000000000e-02, recomputed" in printed
+
+    def test_null_tev_is_not_recomputed(self, finished_run, capsys):
+        # a run with --no-tev stores null, which check leaves alone
+        path = finished_run / "report.json"
+        report = json.loads(path.read_text())
+        report["results"]["tev"] = None
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", finished_run) == 0
+        assert "report consistency: PASS" in capsys.readouterr().out
+
 
 # ---------------------------------------------------------------------------
 # library errors mapped to exit codes

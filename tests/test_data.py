@@ -643,6 +643,20 @@ class TestCsvMatrix:
         assert back.tobytes() == vals.tobytes()
         assert peak < 1.7 * vals.nbytes
 
+    def test_small_file_is_streamed(self, tmp_path, monkeypatch):
+        # a file far below one read batch takes the streamed path too; the
+        # whole-text reader is only the fallback
+        vals = np.array([[0.1, -2.5e-300], [3.0, 7.00000000001]])
+        path = tmp_path / "X.csv"
+        write_csv_matrix(vals, path)
+        assert path.stat().st_size < l1subspace.data._READ_BLOCK
+
+        def whole_text(text):
+            raise AssertionError("read whole")
+
+        monkeypatch.setattr(l1subspace.data, "_csv_from_text", whole_text)
+        assert read_csv_matrix(path).tobytes() == vals.tobytes()
+
     def test_float_write_stays_below_the_matrix(self, tmp_path):
         # 40 x 20000 floats (6.4 MB): the strings of one block of about
         # 64 k entries at a time peaked at 0.65 times the matrix here, the
@@ -1130,8 +1144,8 @@ def _csv_bytes(draw):
 @settings(deadline=None, max_examples=400)
 def test_read_csv_matrix_matches_whole_text_reference(scratch_file, data, kind, batch):
     # the same array bits, or the same ParseError text, and no warning, from
-    # a path read in batches of a few lines (a file of at most ``batch``
-    # bytes is read whole) and from file-like sources
+    # a path read in batches of a few lines (``batch`` 0 reads them all at
+    # once) and from file-like sources
     if kind == "path":
         scratch_file.write_bytes(data)
         source = scratch_file

@@ -132,10 +132,15 @@ class TestGapTraces:
         report = solve(X, practical_config(), random_stiefel(8, 2, seed=0), snapshots=True)
         assert report.stop_reason == "tolerance"
         gaps = gap_traces(report.trace, report.final_Q)
-        assert len(gaps.function_gaps) == len(report.trace.snapshot_iters)
-        assert len(gaps.iterate_gaps) == len(report.trace.snapshot_iters)
+        assert len(gaps.function_gaps) == report.iterations + 1
+        assert len(gaps.iterate_gaps) == report.iterations + 1
         assert gaps.function_gaps[-1] == 0.0
         assert gaps.iterate_gaps[-1] == 0.0
+        # entry k describes iterate k
+        h, final = report.trace.h, report.final_Q.values
+        for k, Qk in enumerate(report.trace.q_snapshots):
+            assert gaps.function_gaps[k] == h[k] - h[-1]
+            assert gaps.iterate_gaps[k] == np.linalg.norm(Qk - final)
 
     def test_unpacks_as_pair(self):
         rng = np.random.default_rng(5)

@@ -388,8 +388,9 @@ def test_palm_specialization_is_bit_identical():
         P = update_P(P, X, Q.values @ Q.values.T, 1e-4)
         Q = update_Q(Q, P, X, 5.0)
         qs.append(Q.values)
-    for k, snap in zip(rep.trace.snapshot_iters, rep.trace.q_snapshots):
-        assert np.array_equal(snap, qs[k])
+    assert len(rep.trace.q_snapshots) == rep.iterations + 1
+    for snap, q in zip(rep.trace.q_snapshots, qs):
+        assert np.array_equal(snap, q)
     assert np.array_equal(rep.final_P.values, P.values)
 
 
@@ -487,8 +488,23 @@ def test_solve_q_snapshots_are_read_only():
     X = random_centered(8, 20, np.random.default_rng(27))
     rep = solve(X, practical_config(max_iters=5, tol=1e-300), random_stiefel(8, 2, 1),
                 snapshots=True)
-    assert rep.trace.snapshot_iters == list(range(6))
+    assert len(rep.trace.q_snapshots) == rep.iterations + 1 == 6
     assert not any(snap.flags.writeable for snap in rep.trace.q_snapshots)
+
+
+def test_solve_keeps_every_snapshot_of_a_long_run():
+    # snapshots were once thinned to every tenth sweep past 10,000
+    X = random_centered(3, 5, np.random.default_rng(0))
+    Q0 = random_stiefel(3, 1, 0)
+    rep = solve(X, practical_config(max_iters=10_010, tol=1e-300), Q0, snapshots=True)
+    assert rep.iterations == 10_010
+    snaps = rep.trace.q_snapshots
+    assert len(snaps) == len(rep.trace) == rep.iterations + 1
+    assert np.array_equal(snaps[0], Q0.values)
+    assert np.array_equal(snaps[-1], rep.final_Q.values)
+    # each sweep's recorded dQ is the distance between consecutive snapshots
+    for k in (1, 10_001, 10_009):
+        assert rep.trace.dQ[k] == float(np.linalg.norm(snaps[k] - snaps[k - 1]))
 
 
 def test_solve_restart_from_converged_point_stays_put():
@@ -620,6 +636,18 @@ def test_sufficient_decrease_check_requires_theory_mode():
         sufficient_decrease_check(rep.trace, cfg)
 
 
+def test_sufficient_decrease_check_requires_gamma_star():
+    # kappa1 rests on gamma*, which every theory-mode solve records; a trace
+    # read back without it (as parse_trace_csv gives) cannot be audited
+    rng = np.random.default_rng(29)
+    X = random_centered(6, 12, rng)
+    cfg = theory_config(max_iters=10)
+    rep = solve(X, cfg, random_stiefel(6, 2, 6))
+    rep.trace.gamma_star = None
+    with pytest.raises(DomainError, match="gamma_star"):
+        sufficient_decrease_check(rep.trace, cfg)
+
+
 def test_theory_mode_gamma_is_capped():
     rng = np.random.default_rng(31)
     X = random_centered(8, 20, rng)
@@ -671,7 +699,7 @@ def _reference_solve(X, config, init_Q):
         trace.gamma_star = gs
     iterations = 0
     h0 = h_from_factors(P, Q, XtQ)
-    solvers._record(trace, True, 0, h0, h0, math.nan, math.nan, math.nan, Q)
+    solvers._record(trace, True, h0, h0, math.nan, math.nan, math.nan, Q)
     dQ_prev = 0.0
     stop_reason = "max_iters"
     final_gap = math.nan
@@ -696,7 +724,7 @@ def _reference_solve(X, config, init_Q):
         P, Q, Q_prev = P_next, Q_next, Q
         iterations = k
         hk = h_from_factors(P, Q, XtQ)
-        solvers._record(trace, True, k, hk + 0.5 * config.beta_star * dQ * dQ,
+        solvers._record(trace, True, hk + 0.5 * config.beta_star * dQ * dQ,
                         hk, dP, dQ, gap, Q)
         final_gap = gap
         if gap < config.tol:
@@ -755,7 +783,7 @@ def test_solve_matches_dense_reference_bit_for_bit(shape, data, gamma, theory):
     assert any(flipped[flipped.index(False):])
     for name in ("phi", "h", "dP", "dQ", "gap"):
         assert _same(getattr(rep.trace, name), getattr(want["trace"], name)), name
-    assert rep.trace.snapshot_iters == want["trace"].snapshot_iters
+    assert len(rep.trace.q_snapshots) == len(want["trace"].q_snapshots) == rep.iterations + 1
     for got_Q, want_Q in zip(rep.trace.q_snapshots, want["trace"].q_snapshots):
         assert np.array_equal(got_Q, want_Q)
     assert rep.trace.gamma_star == want["trace"].gamma_star
@@ -796,11 +824,11 @@ def test_sweep_that_flips_no_sign_allocates_less_than_an_n_by_k_block(monkeypatc
     live_after = None
     record = solvers._record
 
-    def measured(trace, snapshots, k, phi, h, dP, dQ, gap, Q):
+    def measured(trace, snapshots, phi, h, dP, dQ, gap, Q):
         nonlocal live_after
-        if k > 0 and dP == 0.0:  # dP = 2 sqrt(flips)
+        if dP == 0.0:  # dP = 2 sqrt(flips), nan at iterate 0
             growth.append(tracemalloc.get_traced_memory()[1] - live_after)
-        record(trace, snapshots, k, phi, h, dP, dQ, gap, Q)
+        record(trace, snapshots, phi, h, dP, dQ, gap, Q)
         tracemalloc.reset_peak()
         live_after = tracemalloc.get_traced_memory()[0]
 
