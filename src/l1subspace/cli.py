@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, _Adopted, _fro_norm, _is_number, _number, objective_l
+from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, _Adopted, _fro_norm, _is_count, _is_number, _number, h_from_factors
 from .data import (
     GrayImage,
     _open_read,
@@ -66,11 +66,9 @@ from .metrics import choose_k_energy, clustering_accuracy, kmeans, reconstruct, 
 from .solvers import (
     RunReport,
     RunTrace,
+    _closing,
     _record,
-    check_alpha_condition,
-    criticality_residual,
     gamma_star,
-    sign_mismatch,
     solve,
     sufficient_decrease_check,
 )
@@ -638,14 +636,17 @@ def _load_report(run_dir: str) -> dict:
     return payload
 
 
+def _stored(results: dict, key: str, valid, kind: str):
+    """``results[key]``; exit 3 unless ``valid`` accepts it."""
+    if not valid(value := results.get(key)):
+        raise CliError(EXIT_DATA, f"corrupt report: {key!r} is not {kind}")
+    return value
+
+
 def _stored_number(results: dict, key: str) -> float | None:
     """``results[key]`` as a float, None when absent or null."""
-    value = results.get(key)
-    if value is None:
-        return None
-    if not _is_number(value):
-        raise CliError(EXIT_DATA, f"corrupt report: {key!r} is not a number")
-    return float(value)
+    value = _stored(results, key, lambda v: v is None or _is_number(v), "a number")
+    return None if value is None else float(value)
 
 
 def _agrees(stored: float, recomputed: float) -> bool:
@@ -653,12 +654,114 @@ def _agrees(stored: float, recomputed: float) -> bool:
     return abs(recomputed - stored) <= 1e-8 * (1.0 + abs(stored))
 
 
+def _shown(value) -> str:
+    """A compared figure as check prints it: a float to ten digits, else JSON."""
+    return f"{value:.9e}" if isinstance(value, float) else json.dumps(value)
+
+
+def _off_rows(trace: RunTrace, beta_star: float) -> list[int]:
+    """The trace rows that solve's own expressions, in its order, do not
+    reproduce bit for bit: phi = h + 0.5 beta_star dQ^2, gap = sqrt(dP^2 +
+    dQ^2 + dQ_prev^2) and dP = 2 sqrt(m) for a flip count m; row 0 is phi = h."""
+    phi, h, dP, dQ, gap = map(np.array, (trace.phi, trace.h, trace.dP, trace.dQ, trace.gap))
+    dQ_prev = np.concatenate(([0.0], dQ[1:-1]))
+    with np.errstate(all="ignore"):  # an edited row may overflow; it then differs
+        ok = ((phi[1:] == h[1:] + 0.5 * beta_star * dQ[1:] * dQ[1:])
+              & (gap[1:] == np.sqrt(dP[1:] * dP[1:] + dQ[1:] * dQ[1:] + dQ_prev * dQ_prev))
+              & (dP[1:] == 2.0 * np.sqrt(np.rint((dP[1:] / 2.0) ** 2))))
+    first = phi[0] == h[0] and np.isnan([dP[0], dQ[0], gap[0]]).all()
+    return np.flatnonzero(~np.concatenate(([first], ok))).tolist()
+
+
+def _audit(X: DataMatrix, P: SignMatrix, Q: StiefelPoint, config: SolverConfig,
+           results: dict, trace_path: str):
+    """Yield check's (name, passed, detail) rows on a run; passed is None on a
+    row that only informs.  The alpha test's row comes before any stored
+    figure is read, so a caller that prints each row as it comes shows it
+    even when a corrupt field ends the audit with exit 3."""
+    Xv, Pv, Qv, alpha = X.values, P.values, Q.values, config.alpha
+    XtQ = Xv.T @ Qv
+    PQ = np.empty((X.n, Q.k))
+    h = h_from_factors(Pv, Qv, XtQ, out=PQ)
+    stale, holds, objective, residual = _closing(Xv, Pv, Qv, XtQ, alpha, np.empty((X.n, X.d)), PQ)
+    yield "alpha condition", None, f"{'holds' if holds else 'does not hold'} (informational)"
+
+    if stale.size:
+        above = int(np.count_nonzero(stale > alpha))
+        # sign(P + X^T E / alpha) keeps P's sign wherever |X^T E| < alpha
+        why = (f"{above} of them above alpha = {alpha:.3g}" if above else
+               f"all at or below alpha = {alpha:.3g} (largest {float(stale.max()):.3e}), "
+               "where the sign step keeps the previous sign: the alpha condition fails")
+        criticality = ("criticality", False, "sign block inconsistent: P disagrees with "
+                       f"sign(X^T Q Q^T) at {stale.size} nonzero entries, {why}")
+    else:
+        bound = 1e-5 * (1.0 + _fro_norm(Xv))
+        # a norm too large for a float is infinite, and inf <= inf proves nothing
+        finite = math.isfinite(residual) and math.isfinite(bound)
+        detail = f"residual {residual:.3e} vs bound {bound:.3e}{'' if finite else ', not finite'}"
+        criticality = ("criticality", finite and residual <= bound, detail)
+
+    stored = _stored_number(results, "criticality")
+    if math.isnan(residual):
+        consistent = stored is None
+        detail = ("stored value missing" if consistent
+                  else f"stored {stored:.3e}, but the residual could not be recomputed")
+    else:
+        consistent = stored is not None and _agrees(stored, residual)
+        detail = (f"recomputed {residual:.3e} but report stores null" if stored is None
+                  else f"stored {stored:.3e}, recomputed {residual:.3e}")
+    if (stored := _stored_number(results, "final_objective")) is None:
+        raise CliError(EXIT_DATA, "corrupt report: missing 'final_objective'")
+    # the other figures as (field, stored, recomputed, agree)
+    table = [("final_objective", stored, objective, _agrees(stored, objective))]
+    if config.theory_mode:
+        # the audit's kappa1 rests on gamma*, so it comes from X, not the report
+        gs = gamma_star(alpha, config.beta_star, X)
+        stored = _stored_number(results, "gamma_star")
+        # relative alone: gamma* can be 1e-9, where _agrees's 1e-8 floor passes 0
+        table.append(("gamma_star", stored, gs,
+                      stored is not None and math.isclose(stored, gs, rel_tol=1e-8)))
+    stored = _stored(results, "alpha_condition_holds", lambda v: isinstance(v, bool), "a boolean")
+    table.append(("alpha_condition_holds", stored, holds, stored is holds))
+    # null where solve ran with --no-tev or tev is undefined (X = 0)
+    if (stored := _stored_number(results, "tev")) is not None:
+        recomputed = _tev(X, Q)
+        table.append(("tev", stored, recomputed, _agrees(stored, recomputed)))
+    with _fails_as(EXIT_DATA, "cannot read trace", OSError):
+        with _fails_as(EXIT_DATA, "corrupt trace", UnicodeDecodeError):
+            trace = parse_trace_csv(_read(trace_path, binary=True).decode("utf-8"))
+    sweeps, gap = len(trace) - 1, trace.gap[-1]
+    # solve stops on the first gap below tol, else after max_iters sweeps
+    stop = "tolerance" if gap < config.tol else "max_iters" if sweeps == config.max_iters else None
+    for field, recomputed, valid, kind in (
+            ("iterations", sweeps, _is_count, "an integer"),
+            ("final_gap", gap, _is_number, "a number"),
+            ("stop_reason", stop, lambda v: isinstance(v, str), "a string")):
+        stored = _stored(results, field, valid, kind)
+        table.append((field, stored, recomputed, stored == recomputed))
+    table.append(("last trace h", trace.h[-1], h, _agrees(trace.h[-1], h)))
+    consistent = consistent and all(agree for *_, agree in table)
+    detail += "".join(f"; {field} stored {_shown(stored)}, recomputed {_shown(recomputed)}"
+                      for field, stored, recomputed, agree in table if not agree)
+    if off := _off_rows(trace, config.beta_star):
+        consistent = False
+        detail += f"; {len(off)} of {len(trace)} trace rows break solve's formulas, first {off[0]}"
+
+    if not config.theory_mode:
+        yield "sufficient decrease", None, "skipped (practical run)"
+    yield criticality
+    yield "report consistency", consistent, detail
+    if config.theory_mode:
+        trace.gamma_star = gs
+        audit = sufficient_decrease_check(trace, config)
+        yield ("sufficient decrease", not audit.violations,
+               f"{len(audit.violations)} violations over {audit.checked} steps")
+
+
 def cmd_check(resolved: dict, out: None) -> None:
     run_dir = resolved["run"]
     payload = _load_report(run_dir)
     stored_config = payload["config"]
-    results = payload["results"]
-
     if resolved["data"] is not None:
         stored_config = {**stored_config, "data": resolved["data"], "libsvm": None}
     for key in ("data", "libsvm"):
@@ -676,107 +779,15 @@ def cmd_check(resolved: dict, out: None) -> None:
         final_P = SignMatrix(_Adopted(read_csv_matrix(os.path.join(run_dir, "final_P.csv"))))
     if final_Q.d != X.d or final_P.values.shape != (X.n, X.d):
         raise CliError(EXIT_DATA, f"run artifacts do not fit the {X.d} x {X.n} dataset")
-
     with _fails_as(EXIT_DATA, "corrupt report config", CliError, KeyError):
         config = build_solver_config(stored_config)
-    alpha = config.alpha
-    holds = check_alpha_condition(X, final_Q, alpha)
-    print(f"alpha condition: {'holds' if holds else 'does not hold'} (informational)")
-
-    checks: list[tuple[str, bool, str]] = []
-
-    bound = 1e-5 * (1.0 + _fro_norm(X.values))
-    stale = sign_mismatch(final_Q, final_P, X)
-    if stale.size:
-        detail = (
-            f"sign block inconsistent: P disagrees with sign(X^T Q Q^T) at "
-            f"{stale.size} nonzero entries"
-        )
-        above = int(np.count_nonzero(stale > alpha))
-        if above:
-            detail += f", {above} of them above alpha = {alpha:.3g}"
-        else:
-            # sign(P + X^T E / alpha) keeps P's sign wherever |X^T E| < alpha
-            detail += (
-                f", all at or below alpha = {alpha:.3g} (largest {float(stale.max()):.3e}), "
-                "where the sign step keeps the previous sign: the alpha condition fails"
-            )
-        residual = math.nan
-        checks.append(("criticality", False, detail))
-    else:
-        residual = criticality_residual(final_Q, final_P, X)
-        # a norm too large for a float is infinite, and inf <= inf proves nothing
-        finite = math.isfinite(residual) and math.isfinite(bound)
-        detail = f"residual {residual:.3e} vs bound {bound:.3e}"
-        if not finite:
-            detail += ", not finite"
-        checks.append(("criticality", finite and residual <= bound, detail))
-
-    stored = _stored_number(results, "criticality")
-    if math.isnan(residual):
-        consistent = stored is None
-        detail = (
-            "stored value missing"
-            if consistent
-            else f"stored {stored:.3e}, but the residual could not be recomputed"
-        )
-    elif stored is None:
-        consistent, detail = False, f"recomputed {residual:.3e} but report stores null"
-    else:
-        consistent = _agrees(stored, residual)
-        detail = f"stored {stored:.3e}, recomputed {residual:.3e}"
-    stored_objective = _stored_number(results, "final_objective")
-    if stored_objective is None:
-        raise CliError(EXIT_DATA, "corrupt report: missing 'final_objective'")
-    objective = objective_l(final_Q, X)
-    if not _agrees(stored_objective, objective):
-        consistent = False
-        detail += f"; final_objective stored {stored_objective:.9e}, recomputed {objective:.9e}"
-    if config.theory_mode:
-        # the audit's kappa1 rests on gamma*, so it comes from X, not the report
-        gs = gamma_star(config.alpha, config.beta_star, X)
-        stored_gs = _stored_number(results, "gamma_star")
-        # relative alone: gamma* can be 1e-9, where _agrees's 1e-8 floor passes 0
-        if stored_gs is None or not math.isclose(stored_gs, gs, rel_tol=1e-8):
-            consistent = False
-            shown = "null" if stored_gs is None else f"{stored_gs:.9e}"
-            detail += f"; gamma_star stored {shown}, recomputed {gs:.9e}"
-    stored_holds = results.get("alpha_condition_holds")
-    if not isinstance(stored_holds, bool):
-        raise CliError(EXIT_DATA, "corrupt report: 'alpha_condition_holds' is not a boolean")
-    if stored_holds is not holds:
-        consistent = False
-        detail += f"; alpha_condition_holds stored {json.dumps(stored_holds)}, recomputed {json.dumps(holds)}"
-    stored_tev = _stored_number(results, "tev")
-    # null where solve ran with --no-tev or tev is undefined (X = 0)
-    if stored_tev is not None:
-        recomputed_tev = _tev(X, final_Q)
-        if not _agrees(stored_tev, recomputed_tev):
-            consistent = False
-            detail += f"; tev stored {stored_tev:.9e}, recomputed {recomputed_tev:.9e}"
-    checks.append(("report consistency", consistent, detail))
-
-    if config.theory_mode:
-        with _fails_as(EXIT_DATA, "cannot read trace", OSError):
-            with _fails_as(EXIT_DATA, "corrupt trace", UnicodeDecodeError):
-                text = _read(os.path.join(run_dir, "trace.csv"), binary=True).decode("utf-8")
-        trace = parse_trace_csv(text)
-        trace.gamma_star = gs
-        audit = sufficient_decrease_check(trace, config)
-        checks.append(
-            (
-                "sufficient decrease",
-                len(audit.violations) == 0,
-                f"{len(audit.violations)} violations over {audit.checked} steps",
-            )
-        )
-    else:
-        print("sufficient decrease: skipped (practical run)")
 
     failed = False
-    for name, passed, detail in checks:
-        print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
-        failed = failed or not passed
+    trace_path = os.path.join(run_dir, "trace.csv")
+    for name, passed, detail in _audit(X, final_P, final_Q, config, payload["results"], trace_path):
+        verdict = detail if passed is None else f"{'PASS' if passed else 'FAIL'} ({detail})"
+        print(f"{name}: {verdict}")
+        failed = failed or passed is False
     if failed:
         raise CliError(EXIT_CHECK, "one or more checks failed")
 

@@ -168,9 +168,9 @@ def _kmeans_plus_plus(coords, k, rng):
     return centers
 
 
-def _lloyd(pts, centers, max_iters):
+def _lloyd(pts, coords, centers, max_iters):
+    # pts holds the n points as rows, coords the same as contiguous K x n rows
     n, k = pts.shape[0], centers.shape[0]
-    coords = pts.T.copy()
     dists, scratch = np.empty((2, k, n))
     labels = None
     for _ in range(max_iters):
@@ -238,7 +238,7 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
     for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, r])
         centers = _kmeans_plus_plus(coords, int(k), rng)
-        labels, inertia = _lloyd(pts, centers, KMEANS_MAX_ITERS)
+        labels, inertia = _lloyd(pts, coords, centers, KMEANS_MAX_ITERS)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels

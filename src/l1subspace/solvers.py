@@ -305,22 +305,6 @@ def adaptive_beta(X: DataMatrix, P: SignMatrix, beta_star: float, beta_sup: floa
     return _beta(X._factor[1], P.values, beta_star, beta_sup)
 
 
-def _agreement(XtQ: np.ndarray, Q: np.ndarray, P: np.ndarray, out=None) -> np.ndarray:
-    """(X^T Q Q^T) * P entrywise, from the n x K product X^T Q.
-
-    P is +/-1, so each entry keeps its magnitude exactly and is negative
-    exactly where P has the opposite sign.
-    """
-    TP = np.matmul(XtQ, Q.T, out=out)
-    TP *= P
-    return TP
-
-
-def _disagreements(TP: np.ndarray) -> np.ndarray:
-    """Magnitudes at the entries where TP = (X^T Q Q^T) * P is below -ZERO_TOL."""
-    return -TP[TP < -ZERO_TOL]
-
-
 def _alpha_holds(mags: np.ndarray, alpha_star: float) -> bool:
     """alpha_star below the smallest entry of mags = |X^T Q Q^T| above ZERO_TOL."""
     return alpha_star < float(np.min(mags, where=mags > ZERO_TOL, initial=math.inf))
@@ -340,14 +324,24 @@ def _residual(
     return _fro_norm(G - Q @ ((QtG + QtG.T) / 2.0))
 
 
-def sign_mismatch(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> np.ndarray:
-    """Magnitudes of X^T Q Q^T at the entries where P has the opposite sign.
+def _closing(X: np.ndarray, P: np.ndarray, Q: np.ndarray, XtQ: np.ndarray, alpha: float,
+             T: np.ndarray, PQ: np.ndarray | None = None) -> tuple[np.ndarray, bool, float, float]:
+    """The closing figures at (P, Q): the magnitudes of X^T Q Q^T where P has
+    the opposite sign (at most ZERO_TOL counts as zero), the alpha test, l(Q)
+    and the criticality residual, nan when P is stale.
 
-    Entries with magnitude at most ``ZERO_TOL`` count as zero and never
-    disagree.  An empty result means P selects sign(X^T Q Q^T).
+    One X^T Q Q^T, formed from ``XtQ`` in the n x d buffer T, serves the sign
+    agreement and the alpha test; the objective reuses T's storage for
+    Q (Q^T X), and the residual reads ``PQ``, the product P Q, when given.
     """
-    _fit(X, Q, P)
-    return _disagreements(_agreement(X.values.T @ Q.values, Q.values, P.values))
+    # P is +/-1, so each entry of (X^T Q Q^T) * P keeps its magnitude exactly
+    # and is negative exactly where P has the opposite sign
+    TP = np.matmul(XtQ, Q.T, out=T)
+    TP *= P
+    stale = -TP[TP < -ZERO_TOL]
+    alpha_holds = _alpha_holds(np.abs(TP, out=TP), alpha)
+    objective = _objective_l(Q, X, out=T.reshape(X.shape))
+    return stale, alpha_holds, objective, math.nan if stale.size else _residual(X, P, Q, XtQ, PQ)
 
 
 def criticality_residual(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> float:
@@ -355,15 +349,18 @@ def criticality_residual(Q: StiefelPoint, P: SignMatrix, X: DataMatrix) -> float
 
     With S = XP + P^T X^T and G = -S Q, the residual is
     ||G - Q sym(Q^T G)||_F, the distance of G from the normal cone at Q.
-    P must agree with sign(X^T Q Q^T) wherever that matrix is nonzero
-    (see ``sign_mismatch``); otherwise SelectionError is raised.
+    P must agree with sign(X^T Q Q^T) wherever that matrix has a magnitude
+    above ``ZERO_TOL``; otherwise SelectionError is raised.  It is the
+    residual of ``_closing``, whose other figures cost two more products.
     """
-    bad = sign_mismatch(Q, P, X).size
-    if bad:
+    _fit(X, Q, P)
+    Xv, Qv = X.values, Q.values
+    stale, _, _, crit = _closing(Xv, P.values, Qv, Xv.T @ Qv, 1.0, np.empty((X.n, X.d)))
+    if stale.size:
         raise SelectionError(
-            f"P disagrees with sign(X^T Q Q^T) at {bad} nonzero entries"
+            f"P disagrees with sign(X^T Q Q^T) at {stale.size} nonzero entries"
         )
-    return _residual(X.values, P.values, Q.values, X.values.T @ Q.values)
+    return crit
 
 
 def check_alpha_condition(X: DataMatrix, Q: StiefelPoint, alpha_star: float) -> bool:
@@ -497,18 +494,11 @@ def solve(
         dQ_prev = dQ
         final_gap = gap
 
-    # the closing checks share one X^T Q Q^T, formed in T from the carried
-    # X^T Q: the sign agreement reads its signs, the alpha test its
-    # magnitudes, and the objective reuses T's storage for Q (Q^T X); the
-    # residual reads the final P Q from the last h
-    TP = _agreement(XtQ, Q, P, out=T)
-    stale = _disagreements(TP).size
-    alpha_holds = _alpha_holds(np.abs(TP, out=TP), config.alpha)
-    objective = _objective_l(Q, Xv, out=T.reshape(d, n))
-    crit = math.nan if stale else _residual(Xv, P, Q, XtQ, PQ)
+    # the closing figures reuse T, the carried X^T Q and the last h's P Q
+    _, alpha_holds, objective, crit = _closing(Xv, P, Q, XtQ, config.alpha, T, PQ)
     # release the product buffer before P's entries are validated; final_P
     # adopts P itself, which the run no longer writes
-    del T, TP
+    del T
     return RunReport(
         final_P=SignMatrix(_Adopted(P)),
         final_Q=StiefelPoint(Q),

@@ -2,6 +2,7 @@
 
 import json
 import hashlib
+import math
 import os
 import stat
 import subprocess
@@ -23,7 +24,11 @@ from l1subspace import (
     write_libsvm,
     write_pgm,
 )
-from l1subspace.cli import main
+from l1subspace.cli import CliError, _audit, _off_rows, main, parse_trace_csv, trace_csv_text
+from l1subspace.core import AdaptiveBeta, FixedBeta, SignMatrix, SolverConfig
+from l1subspace.data import center_features
+from l1subspace.linalg import random_stiefel
+from l1subspace.solvers import solve
 
 from traced import traced_peak
 
@@ -1056,6 +1061,197 @@ class TestCheck:
         path.write_text(json.dumps(report))
         assert run_cli("check", "--run", finished_run) == 0
         assert "report consistency: PASS" in capsys.readouterr().out
+
+
+    # a falsified iterations, final_gap or stop_reason once passed check
+    @pytest.mark.parametrize("field,value,shown", [
+        ("iterations", 7, "iterations stored 7, recomputed "),
+        ("final_gap", 123.0, "final_gap stored 1.230000000e+02, recomputed "),
+        ("stop_reason", "max_iters", 'stop_reason stored "max_iters", recomputed "tolerance"'),
+    ])
+    def test_falsified_stop_field_fails_consistency(self, finished_run, field, value, shown,
+                                                    capsys):
+        path = finished_run / "report.json"
+        report = json.loads(path.read_text())
+        assert report["results"]["stop_reason"] == "tolerance"
+        assert report["results"][field] != value
+        report["results"][field] = value
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", finished_run) == 5
+        printed = capsys.readouterr().out
+        assert "criticality: PASS" in printed
+        assert "report consistency: FAIL" in printed
+        assert f"; {shown}" in printed
+
+    def test_stop_at_max_iters_needs_max_iters_sweeps(self, tmp_path, small_csv, capsys):
+        out = tmp_path / "run"
+        assert run_cli(*solve_args(out, small_csv, max_iters=3)) == 0
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        assert report["results"]["stop_reason"] == "max_iters"
+        report["config"]["max_iters"] = 4
+        path.write_text(json.dumps(report))
+        run_cli("check", "--run", out)
+        assert '; stop_reason stored "max_iters", recomputed null' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("column", [1, 2, 3, 4, 5])
+    def test_edited_trace_row_fails_consistency(self, finished_run, column, capsys):
+        # phi, h, dP, dQ or gap of one row, moved so it no longer follows
+        # from the row's other fields as solve computes them
+        path = finished_run / "trace.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[column] = repr(float(fields[column]) * (1.0 + 1e-12) + 1e-300)
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("check", "--run", finished_run) == 5
+        # an edited dQ also breaks the next row, whose gap reads it as dQ_prev
+        shown = f"{2 if column == 4 else 1} of {len(lines) - 1} trace rows"
+        assert f"; {shown} break solve's formulas, first 2)" in capsys.readouterr().out
+
+    def test_edited_last_h_fails_consistency(self, finished_run, capsys):
+        # the last row's h and phi moved together, so the row stays
+        # self-consistent but no longer matches h(final_P, final_Q)
+        path = finished_run / "trace.csv"
+        beta = json.loads((finished_run / "report.json").read_text())["config"]["beta"]
+        lines = path.read_text().splitlines()
+        k, phi, h, dP, dQ, gap = lines[-1].split(",")
+        h = float(h) * 1.01
+        phi = h + 0.5 * beta * float(dQ) * float(dQ)
+        lines[-1] = ",".join([k, repr(phi), repr(h), dP, dQ, gap])
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("check", "--run", finished_run) == 5
+        printed = capsys.readouterr().out
+        assert f"; last trace h stored {h:.9e}, recomputed" in printed
+        assert "formulas" not in printed
+
+    def test_missing_trace_on_practical_run_is_data_error(self, finished_run, capsys):
+        (finished_run / "trace.csv").unlink()
+        assert run_cli("check", "--run", finished_run) == 3
+        assert "cannot read trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,kind", [
+        ("iterations", 7.0, "an integer"), ("iterations", True, "an integer"),
+        ("final_gap", None, "a number"), ("stop_reason", 0, "a string"),
+    ])
+    def test_mistyped_stop_field_is_corrupt(self, finished_run, field, value, kind, capsys):
+        path = finished_run / "report.json"
+        report = json.loads(path.read_text())
+        report["results"][field] = value
+        path.write_text(json.dumps(report))
+        assert run_cli("check", "--run", finished_run) == 3
+        assert capsys.readouterr().err == f"error: corrupt report: {field!r} is not {kind}\n"
+
+
+# ---------------------------------------------------------------------------
+# the audit behind check, fed artifacts directly
+
+
+@pytest.fixture()
+def artifacts(tmp_path):
+    """(X, final_P, final_Q, config, results, trace path) of a practical run
+    made by the library, as check reads them from a run directory."""
+    rng = np.random.default_rng(42)
+    X = center_features(DataMatrix(rng.standard_normal((12, 50))))
+    config = SolverConfig(alpha=1e-6, beta_mode=FixedBeta(20.0), tol=1e-8)
+    report = solve(X, config, random_stiefel(12, 2, 1))
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text(trace_csv_text(report.trace))
+    results = {
+        "final_objective": report.final_objective,
+        "iterations": report.iterations,
+        "stop_reason": report.stop_reason,
+        "final_gap": report.final_gap,
+        "criticality": report.criticality,
+        "alpha_condition_holds": report.alpha_condition_holds,
+        "tev": None,
+    }
+    return X, report.final_P, report.final_Q, config, results, str(trace_path)
+
+
+def verdicts(artifacts):
+    return {name: (passed, detail) for name, passed, detail in _audit(*artifacts)}
+
+
+class TestAudit:
+    def test_genuine_run_passes_every_row(self, artifacts):
+        rows = list(_audit(*artifacts))
+        assert [(name, passed) for name, passed, _ in rows] == [
+            ("alpha condition", None), ("sufficient decrease", None),
+            ("criticality", True), ("report consistency", True)]
+
+    @pytest.mark.parametrize("field,shift", [
+        ("iterations", 1), ("final_gap", 1e-3), ("final_objective", -1.0),
+        ("criticality", 1.0)])
+    def test_shifted_number_fails_consistency(self, artifacts, field, shift):
+        X, P, Q, config, results, trace_path = artifacts
+        results = {**results, field: results[field] + shift}
+        passed, detail = verdicts((X, P, Q, config, results, trace_path))["report consistency"]
+        assert passed is False
+        lead = f"stored {results[field]:.3e}, recomputed "
+        assert detail.startswith(lead) if field == "criticality" else f"; {field} stored " in detail
+
+    def test_flipped_sign_fails_criticality_and_last_h(self, artifacts):
+        X, P, Q, config, results, trace_path = artifacts
+        flipped = P.values.copy()
+        flipped[:, 0] = -flipped[:, 0]
+        found = verdicts((X, SignMatrix(flipped), Q, config, results, trace_path))
+        assert found["criticality"][0] is False
+        assert "sign block inconsistent" in found["criticality"][1]
+        assert "; last trace h stored" in found["report consistency"][1]
+
+    def test_row_that_breaks_a_formula_is_named(self, artifacts, tmp_path):
+        X, P, Q, config, results, trace_path = artifacts
+        trace = parse_trace_csv(Path(trace_path).read_text())
+        trace.gap[2] *= 2.0
+        path = tmp_path / "edited.csv"
+        path.write_text(trace_csv_text(trace))
+        passed, detail = verdicts((X, P, Q, config, results, str(path)))["report consistency"]
+        assert passed is False
+        assert detail.endswith(f"; 1 of {len(trace)} trace rows break solve's formulas, first 2")
+
+    def test_blank_step_breaks_the_formulas(self, artifacts):
+        trace = parse_trace_csv(Path(artifacts[5]).read_text())
+        assert _off_rows(trace, 20.0) == []
+        trace.dQ[1] = math.nan
+        assert _off_rows(trace, 20.0) == [1, 2]  # dQ[1] is row 2's dQ_prev
+        trace.dP[0] = 0.0
+        assert _off_rows(trace, 20.0) == [0, 1, 2]
+
+    def test_flip_counts_must_be_whole(self, artifacts):
+        trace = parse_trace_csv(Path(artifacts[5]).read_text())
+        row = next(k for k in range(1, len(trace)) if trace.dP[k] > 0.0)
+        m = (trace.dP[row] / 2.0) ** 2
+        trace.dP[row] = 2.0 * math.sqrt(m + 0.5)
+        trace.gap[row] = math.sqrt(trace.dP[row] ** 2 + trace.dQ[row] ** 2
+                                   + (trace.dQ[row - 1] if row > 1 else 0.0) ** 2)
+        assert _off_rows(trace, 20.0) == [row]
+
+    def test_corrupt_field_ends_the_audit_after_the_alpha_row(self, artifacts):
+        X, P, Q, config, results, trace_path = artifacts
+        rows = _audit(X, P, Q, config, {**results, "stop_reason": None}, trace_path)
+        assert next(rows)[0] == "alpha condition"
+        with pytest.raises(CliError) as raised:
+            next(rows)
+        assert raised.value.code == 3
+        assert str(raised.value) == "corrupt report: 'stop_reason' is not a string"
+
+    def test_theory_run_audits_the_decrease(self, artifacts, tmp_path):
+        X = artifacts[0]
+        config = SolverConfig(alpha=1e-6, beta_mode=AdaptiveBeta(1.0, 1e9), tol=1e-8,
+                              theory_mode=True)
+        report = solve(X, config, random_stiefel(12, 2, 1))
+        (tmp_path / "theory.csv").write_text(trace_csv_text(report.trace))
+        results = {"final_objective": report.final_objective,
+                   "iterations": report.iterations, "stop_reason": report.stop_reason,
+                   "final_gap": report.final_gap, "criticality": report.criticality,
+                   "alpha_condition_holds": report.alpha_condition_holds,
+                   "tev": None, "gamma_star": report.trace.gamma_star}
+        rows = list(_audit(X, report.final_P, report.final_Q, config, results,
+                           str(tmp_path / "theory.csv")))
+        assert [(name, passed) for name, passed, _ in rows] == [
+            ("alpha condition", None), ("criticality", True),
+            ("report consistency", True), ("sufficient decrease", True)]
 
 
 # ---------------------------------------------------------------------------

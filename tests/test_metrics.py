@@ -279,7 +279,7 @@ class TestKmeans:
         # sends everything to one cluster and the other must be reseeded
         pts = np.array([[0.0], [1.0], [10.0]])
         centers = np.array([[100.0], [200.0]])
-        labels, inertia = _lloyd(pts, centers, 300)
+        labels, inertia = _lloyd(pts, pts.T.copy(), centers, 300)
         assert len(set(labels.tolist())) == 2
         assert math.isfinite(inertia)
 
@@ -376,7 +376,7 @@ def test_lloyd_matches_broadcast_reference(case, spread):
     pts = points.T.copy()
     start = pts[rng.integers(0, pts.shape[0], size=k)] + spread * rng.standard_normal((k, pts.shape[1]))
     centers, want_centers = start.copy(), start.copy()
-    labels, inertia = _lloyd(pts, centers, KMEANS_MAX_ITERS)
+    labels, inertia = _lloyd(pts, pts.T.copy(), centers, KMEANS_MAX_ITERS)
     want_labels, want_inertia = _reference_lloyd(pts, want_centers, KMEANS_MAX_ITERS)
     assert np.array_equal(labels, want_labels)
     assert inertia == want_inertia
@@ -388,7 +388,7 @@ def test_lloyd_memory_is_linear_in_points_times_clusters():
     rng = np.random.default_rng(13)
     pts = rng.standard_normal((20000, 7))
     centers = pts[:10].copy()
-    _, peak = traced_peak(_lloyd, pts, centers, 3)
+    _, peak = traced_peak(_lloyd, pts, pts.T.copy(), centers, 3)
     assert peak < 8e6
 
 

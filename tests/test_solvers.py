@@ -25,11 +25,13 @@ from l1subspace.errors import (
     SelectionError,
     ShapeError,
 )
+from l1subspace.data import read_csv_matrix, write_csv_matrix
 from l1subspace.linalg import random_stiefel, spectral_norm
 from l1subspace.metrics import reconstruct, tev
 from l1subspace.solvers import (
     ZERO_TOL,
     _beta,
+    _closing,
     _gamma_cap,
     _q_step,
     _s_times,
@@ -38,7 +40,6 @@ from l1subspace.solvers import (
     criticality_residual,
     extrapolate,
     gamma_star,
-    sign_mismatch,
     solve,
     sufficient_decrease_check,
     update_P,
@@ -532,6 +533,30 @@ def test_solve_tight_tolerance_reaches_stationarity():
     assert rep.criticality <= 1e-6 * (1.0 + np.linalg.norm(X.values))
 
 
+@pytest.mark.parametrize("config,stale", [
+    (practical_config(tol=1e-10), False),
+    (practical_config(gamma=0.0, max_iters=5), True),
+    (SolverConfig(alpha=1e-6, beta_mode=AdaptiveBeta(1.0, 1e9), max_iters=40,
+                  theory_mode=True), False),
+], ids=["practical", "stale-after-5-sweeps", "theory"])
+def test_closing_on_written_artifacts_reproduces_the_report(tmp_path, config, stale):
+    # check recomputes the closing figures from final_P.csv and final_Q.csv
+    # through the same function solve closes with, so they agree bit for bit;
+    # five sweeps leave a P that lags Q, whose residual is nan on both sides
+    X = random_centered(12, 50, np.random.default_rng(23))
+    rep = solve(X, config, random_stiefel(12, 3, 5))
+    write_csv_matrix(rep.final_P.values, tmp_path / "final_P.csv")
+    write_csv_matrix(rep.final_Q.values, tmp_path / "final_Q.csv")
+    P = read_csv_matrix(tmp_path / "final_P.csv")
+    Q = read_csv_matrix(tmp_path / "final_Q.csv")
+    stale_mags, holds, objective, crit = _closing(
+        X.values, P, Q, X.values.T @ Q, config.alpha, np.empty((X.n, X.d)))
+    assert (stale_mags.size > 0) is stale
+    assert holds is rep.alpha_condition_holds
+    assert objective == rep.final_objective
+    assert crit == rep.criticality or stale and math.isnan(crit) and math.isnan(rep.criticality)
+
+
 # ---------------------------------------------------------------------------
 # the shape guard of every function that couples X (d x n), Q (d x K), P (n x d)
 
@@ -544,7 +569,6 @@ COUPLED = [
     ("update_P", lambda X, Q, P: update_P(P, X, np.eye(X.d), 1.0), "P"),
     ("update_Q", lambda X, Q, P: update_Q(Q, P, X, 1.0), "QP"),
     ("adaptive_beta", lambda X, Q, P: adaptive_beta(X, P, 1.0, 1e9), "P"),
-    ("sign_mismatch", lambda X, Q, P: sign_mismatch(Q, P, X), "QP"),
     ("check_alpha_condition", lambda X, Q, P: check_alpha_condition(X, Q, 1e-6), "Q"),
     ("solve", lambda X, Q, P: solve(X, practical_config(), Q), "Q"),
     ("criticality_residual", lambda X, Q, P: criticality_residual(Q, P, X), "QP"),

@@ -6,7 +6,8 @@ workloads name it in their source, or when the benchmark's tracer lists it
 in ``LAYERS``, which it rebinds by name.  The sources are read with ``ast``,
 never imported.  The command line's failure rule is read the same way: one
 boundary turns library errors into exit codes.  So is the scalar rule: only
-``core`` says what a number or a count is.
+``core`` says what a number or a count is.  So are the closing figures:
+``check`` takes them from the function ``solve`` closes with.
 """
 
 import ast
@@ -107,3 +108,19 @@ def test_only_core_spells_the_scalar_rule():
                 ):
                     spelled.add(f"{path.name}:{node.lineno}")
     assert not spelled, f"scalar rules written outside core: {sorted(spelled)}"
+
+
+def test_closing_figures_have_one_path():
+    # check takes the stale signs, the alpha test, l(Q) and the residual from
+    # solvers._closing, as solve does, not from the public one-figure wrappers
+    cli_names = _named_in(ROOT / "src" / "l1subspace" / "cli.py")
+    wrappers = {"check_alpha_condition", "criticality_residual", "objective_l"}
+    assert not cli_names & wrappers, f"cli.py names {sorted(cli_names & wrappers)}"
+    assert "_closing" in cli_names
+    sources = sorted((ROOT / "src" / "l1subspace").glob("*.py"))
+    sources += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    sources += sorted((ROOT / "tests").glob("*.py"))
+    naming = [path.name for path in sources if "sign_mismatch" in _named_in(path)]
+    assert not naming, f"sign_mismatch is named in {naming}"
+    assert not hasattr(l1subspace.solvers, "sign_mismatch")
+    assert "sign_mismatch" not in l1subspace.__all__
