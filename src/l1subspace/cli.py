@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, _Adopted, _fro_norm, _is_count, _is_number, _number, h_from_factors
+from .core import AdaptiveBeta, DataMatrix, FixedBeta, SignMatrix, SolverConfig, StiefelPoint, _Adopted, _fro_norm, _is_count, _is_number, _number, objective_h
 from .data import (
     GrayImage,
     _open_read,
@@ -682,7 +682,7 @@ def _audit(X: DataMatrix, P: SignMatrix, Q: StiefelPoint, config: SolverConfig,
     Xv, Pv, Qv, alpha = X.values, P.values, Q.values, config.alpha
     XtQ = Xv.T @ Qv
     PQ = np.empty((X.n, Q.k))
-    h = h_from_factors(Pv, Qv, XtQ, out=PQ)
+    h = objective_h(Pv, Qv, XtQ, out=PQ)
     stale, holds, objective, residual = _closing(Xv, Pv, Qv, XtQ, alpha, np.empty((X.n, X.d)), PQ)
     yield "alpha condition", None, f"{'holds' if holds else 'does not hold'} (informational)"
 

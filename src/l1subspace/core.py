@@ -7,9 +7,11 @@ max(t, -t) entrywise turns this into minimizing
     H(P, Q) = -<P, X^T Q Q^T>
 
 jointly over sign matrices P and Stiefel points Q.  This module holds the
-shared value types, the two objectives, the one place that calls LAPACK's
-SVD and the one rule for scalar arguments (``_count``, ``_number``): a count
-is an int or a numpy integer, a number a count or a float, a bool neither.
+shared value types, the two objectives (``objective_l`` on validated
+types, and ``objective_h``, the h that ``solve`` records, on plain arrays),
+the one place that calls LAPACK's SVD and the one rule for scalar
+arguments (``_count``, ``_number``): a count is an int or a numpy integer,
+a number a count or a float, a bool neither.
 Heavier linear algebra lives in :mod:`l1subspace.linalg`, the alternating
 scheme, sign step included, in :mod:`l1subspace.solvers`.
 
@@ -324,22 +326,15 @@ def _objective_l(Q: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) ->
     return -float(np.abs(M, out=M).sum())
 
 
-def objective_h(P: SignMatrix, Q: StiefelPoint, X: DataMatrix) -> float:
-    """Two-block objective h(P, Q) = -<P, X^T Q Q^T>.
-
-    Minimizing over sign matrices P recovers ``objective_l(Q, X)`` exactly,
-    with minimizer P in sign(X^T Q Q^T).
-    """
-    _fit(X, Q, P)
-    return h_from_factors(P.values, Q.values, X.values.T @ Q.values)
-
-
-def h_from_factors(
+def objective_h(
     P: np.ndarray, Q: np.ndarray, XtQ: np.ndarray, out: np.ndarray | None = None
 ) -> float:
-    """h(P, Q) = -<P Q, X^T Q> from plain arrays, given the n x K product X^T Q.
+    """Two-block objective h(P, Q) = -<P Q, X^T Q> from plain arrays, given
+    the n x K product X^T Q.
 
-    This equals -<P, X^T Q Q^T> without forming that n x d matrix.  The
-    n x K product P Q goes to ``out`` if given, where a caller can reuse it.
+    This equals -<P, X^T Q Q^T> without forming that n x d matrix.
+    Minimizing over sign matrices P recovers ``objective_l(Q, X)`` exactly,
+    with minimizer P in sign(X^T Q Q^T).  The n x K product P Q goes to
+    ``out`` if given, where a caller can reuse it.
     """
     return -float(np.vdot(np.matmul(P, Q, out=out), XtQ))

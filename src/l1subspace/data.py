@@ -625,19 +625,18 @@ def read_csv_matrix(source) -> np.ndarray:
     raises ParseError naming the first bad line, as does an input with no
     rows.
 
-    Cost: the lines go through numpy's C tokenizer (``np.loadtxt``), which
-    converts each token with the C routine ``float`` uses, so the values
-    are the same bits.  From a regular file the lines are fed to it in
+    Cost: the lines of a regular file go through numpy's C tokenizer
+    (``np.loadtxt``), which converts each token with the C routine
+    ``float`` uses, so the values are the same bits.  They are fed to it in
     batches as the file is read, so beyond the result memory holds a batch
     of lines and numpy's buffers, not the text: 1.1 to 1.7 times the
-    result.  Any other source (a pipe, a file-like object) is read whole
-    and split into lines first, and so is a file that is not ASCII, that
-    holds a character where ``str.splitlines`` ends a line and a file read
-    does not (0x0b, 0x0c, 0x1c to 0x1e) or the unit separator 0x1f, or that
-    the tokenizer rejects.  A whole text that the tokenizer rejects, or
-    that holds 0x1f (which the tokenizer strips around a value and
-    ``float`` does not), is re-read line by line with one ``float`` per
-    token, to name the first error.
+    result.  Any other source (a pipe, a file-like object) is read whole,
+    split by ``str.splitlines`` and parsed line by line with one ``float``
+    per token, and so is a file that is not ASCII, that holds a character
+    where ``str.splitlines`` ends a line and a file read does not (0x0b,
+    0x0c, 0x1c to 0x1e) or the unit separator 0x1f (which the tokenizer
+    strips around a value and ``float`` does not), or that the tokenizer
+    rejects; the loop names the first error.
     """
     # only a regular file can be read again by the fallback
     if not hasattr(source, "read") and os.path.isfile(source):
@@ -672,17 +671,10 @@ def _plain_lines(fh):
 
 
 def _csv_from_text(text: str) -> np.ndarray:
-    """read_csv_matrix on the whole text of the input."""
-    lines = text.splitlines()
-    # blank lines alone are the loop's "no rows" error (loadtxt would warn)
-    if any(lines) and "\x1f" not in text:
-        try:
-            return np.loadtxt(lines, dtype=float, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
+    """read_csv_matrix on the whole text of the input, one ``float`` per token."""
     rows = []
     width = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

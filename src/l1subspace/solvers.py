@@ -13,13 +13,21 @@ Q step needs S Q for S = XP + (XP)^T, which is X (P Q) + P^T (X^T Q).
 ``solve`` carries X^T Q from one sweep to the next, so a sweep of a d x n
 problem costs O(ndK) time and O(nd) memory and never forms a d x d matrix.
 
+Each step is one function, the one that ``solve`` runs:
+``extrapolate`` forms X^T E, ``update_P`` takes the sign step, ``update_Q``
+the Procrustes step, ``adaptive_beta`` gives theory mode's beta and
+``core.objective_h`` the recorded h.  They take plain arrays and validate
+no argument: ``solve`` validates its inputs once, at its boundary.  The
+benchmark's tracer (``perfbench/tracer.py``) rebinds these names in every
+module and times each step by its name.
+
 ``solve`` allocates its n x d arrays once per run: the sign block P and a
 product buffer T, plus the n x 2K and 2K x d factors of X^T E and the
 n x K product P Q; every product is written into them with
 ``np.matmul(..., out=)``.  The sign step is screened and in place.  Since P
 is +/-1, P_ij turns exactly where fl((X^T E)_ij P_ij / alpha) < -1, which
 under round-to-nearest is exactly where (X^T E)_ij P_ij < -alpha (see
-``_sign_step``).  So after one exact pass T *= P and a min and a max for the
+``update_P``).  So after one exact pass T *= P and a min and a max for the
 finiteness check, the sign step stops at once when even the smallest entry
 of T * P is at least -alpha; otherwise one compare with -alpha picks the
 entries that turn, they are flipped, and the flip count for the trace is
@@ -70,7 +78,7 @@ from .core import (
     _fro_norm,
     _objective_l,
     _number,
-    h_from_factors,
+    objective_h,
 )
 from .errors import (
     DomainError,
@@ -143,24 +151,7 @@ class RunReport:
     final_gap: float
 
 
-def extrapolate(Q: StiefelPoint, Q_prev: StiefelPoint, gamma: float) -> np.ndarray:
-    """Extrapolated projector E = Q Q^T + gamma (Q Q^T - Q_prev Q_prev^T).
-
-    This is the dense d x d reference; ``solve`` never forms it and works
-    with X^T E through ``_xt_extrapolated`` instead.
-    """
-    _number("gamma", gamma, 0.0, 1.0, open_low=False)
-    if Q_prev.values.shape != Q.values.shape:
-        raise ShapeError(
-            f"Q_prev shape {Q_prev.values.shape} differs from Q shape {Q.values.shape}"
-        )
-    G = Q.values @ Q.values.T
-    if gamma == 0.0:
-        return G
-    return G + gamma * (G - Q_prev.values @ Q_prev.values.T)
-
-
-def _xt_extrapolated(
+def extrapolate(
     XtQ: np.ndarray,
     F: np.ndarray,
     W: np.ndarray,
@@ -169,7 +160,8 @@ def _xt_extrapolated(
     gamma: float,
     out: np.ndarray,
 ) -> np.ndarray:
-    """X^T E for E = extrapolate(Q, Q_prev, gamma), as one n x 2K by 2K x d product.
+    """X^T E for the extrapolated projector E = Q Q^T + gamma (Q Q^T - Q' Q'^T),
+    Q' = Q_prev, as one n x 2K by 2K x d product.
 
     F is the n x 2K factor [X^T Q, X^T Q']: its right half must hold X^T Q',
     and its left half is filled here from the n x K product ``XtQ``.  The
@@ -186,14 +178,16 @@ def _xt_extrapolated(
     return np.matmul(F, W, out=out)
 
 
-def _sign_step(P: np.ndarray, T: np.ndarray, alpha: float) -> int:
+def update_P(P: np.ndarray, T: np.ndarray, alpha: float) -> int:
     """Screened proximal sign step P <- sign(P + T / alpha), ties keeping P.
 
-    P is updated in place through a flat view, so it must be C-contiguous;
-    T, the n x d product X^T E, is overwritten with T * P.  Returns the
-    number of flipped signs.  Raises NumericError when P + T / alpha has a
-    non-finite entry.  When no entry can turn, P and the flip count are
-    settled after the finiteness check and nothing more is read.
+    For T = X^T E this is the exact minimizer of -<P', X^T E> +
+    (alpha/2) ||P' - P||_F^2 over sign matrices P'.  P is updated in place
+    through a flat view, so it must be C-contiguous; T, the n x d product
+    X^T E, is overwritten with T * P.  Returns the number of flipped signs.
+    Raises NumericError when P + T / alpha has a non-finite entry.  When no
+    entry can turn, P and the flip count are settled after the finiteness
+    check and nothing more is read.
     """
     # P is +/-1, so T * P is exact and fl(P + fl(T / alpha)) equals
     # P fl(1 + fl(T P / alpha)): the sign turns exactly where
@@ -234,40 +228,25 @@ def _s_times(
     return X @ PQ + P.T @ XtQ
 
 
-def _q_step(Q: np.ndarray, SQ: np.ndarray, beta: float) -> np.ndarray:
-    """Procrustes step from the d x K product S Q; Q itself when S Q = 0."""
+def update_Q(
+    X: np.ndarray,
+    P: np.ndarray,
+    Q: np.ndarray,
+    XtQ: np.ndarray,
+    beta: float,
+    PQ: np.ndarray | None = None,
+) -> np.ndarray:
+    """Procrustes step: the polar factor of Q + S Q / beta for S = XP + (XP)^T,
+    or Q itself when S Q = 0.
+
+    This maximizes <Q', S Q + beta Q> over Stiefel points Q', the linearized
+    objective plus the proximal coupling to Q.  S Q is formed from the n x K
+    products X^T Q and, when given, P Q (see ``_s_times``).
+    """
+    SQ = _s_times(X, P, Q, XtQ, PQ)
     if not SQ.any():
         return Q
     return polar_factor(Q + SQ / beta)
-
-
-def update_P(P: SignMatrix, X: DataMatrix, E: np.ndarray, alpha: float) -> SignMatrix:
-    """Proximal sign step: entrywise sign of P + X^T E / alpha, keeping ties.
-
-    This is the exact minimizer of -<P', X^T E> + (alpha/2) ||P' - P||_F^2
-    over sign matrices P'.
-    """
-    _number("alpha", alpha)
-    E = np.asarray(E, dtype=float)
-    if E.shape != (X.d, X.d):
-        raise ShapeError(f"E must be {X.d} x {X.d}, got {E.shape}")
-    _fit(X, P=P)
-    P_next = P.values.copy()
-    _sign_step(P_next, X.values.T @ E, alpha)
-    return SignMatrix(P_next)
-
-
-def update_Q(Q: StiefelPoint, P_next: SignMatrix, X: DataMatrix, beta: float) -> StiefelPoint:
-    """Procrustes step: polar factor of Q + (S Q) / beta with S = XP + (XP)^T.
-
-    This maximizes <Q', S Q + beta Q> over the Stiefel manifold, i.e. the
-    linearized objective plus the proximal coupling to the previous Q.
-    """
-    _number("beta", beta)
-    _fit(X, Q, P_next)
-    SQ = _s_times(X.values, P_next.values, Q.values, X.values.T @ Q.values)
-    Q_next = _q_step(Q.values, SQ, beta)
-    return Q if Q_next is Q.values else StiefelPoint(Q_next)
 
 
 def _gamma_cap(alpha_star: float, beta_star: float, sigma1: float) -> float:
@@ -277,8 +256,9 @@ def _gamma_cap(alpha_star: float, beta_star: float, sigma1: float) -> float:
     return min(1.0, alpha_star * beta_star / (8.0 * sigma1 * sigma1))
 
 
-def _beta(SVt: np.ndarray, P: np.ndarray, beta_star: float, beta_sup: float) -> float:
-    """(3/2) beta_star + 2 ||X P||_2 from the factor Sigma V^T of X."""
+def adaptive_beta(SVt: np.ndarray, P: np.ndarray, beta_star: float, beta_sup: float) -> float:
+    """Theory-mode Q-step parameter (3/2) beta_star + 2 ||X P||_2, from the
+    factor Sigma V^T of X; InfeasibleBoundError when it exceeds beta_sup."""
     b = 1.5 * beta_star + 2.0 * spectral_norm(SVt @ P)
     if b > beta_sup:
         raise InfeasibleBoundError(
@@ -292,17 +272,6 @@ def gamma_star(alpha_star: float, beta_star: float, X: DataMatrix) -> float:
     _number("alpha_star", alpha_star)
     _number("beta_star", beta_star)
     return _gamma_cap(alpha_star, beta_star, float(X._sigma[0]))
-
-
-def adaptive_beta(X: DataMatrix, P: SignMatrix, beta_star: float, beta_sup: float) -> float:
-    """Theory-mode Q-step parameter (3/2) beta_star + 2 ||X P||_2.
-
-    Raises DomainError unless (beta_star, beta_sup) are valid AdaptiveBeta
-    bounds, and InfeasibleBoundError when the value would exceed beta_sup.
-    """
-    AdaptiveBeta(beta_star, beta_sup)
-    _fit(X, P=P)
-    return _beta(X._factor[1], P.values, beta_star, beta_sup)
 
 
 def _alpha_holds(mags: np.ndarray, alpha_star: float) -> bool:
@@ -419,7 +388,7 @@ def solve(
     Q = Q_prev = init_Q.values
     # the run's workspace, filled in place every sweep: T holds the n x d
     # product X^T E, F and W its n x 2K and 2K x d factors (see
-    # _xt_extrapolated), XtQ carries X^T Q between sweeps, contiguous so that
+    # extrapolate), XtQ carries X^T Q between sweeps, contiguous so that
     # h's inner product reads it in place, F's right half carries X^T Q', and
     # PQ carries the P Q of the last objective h
     T = np.empty((n, d))
@@ -431,7 +400,7 @@ def solve(
     # P, the sign block, is the only other n x d array; the sign step
     # updates it in place.  P0 = sign(X^T Q0 Q0^T) with ties, signed zeros
     # included, broken to +1, built as 1 - 2 [T < 0]; the extremes decide
-    # finiteness as in _sign_step
+    # finiteness as in update_P
     np.matmul(XtQ, Q.T, out=T)
     if not (math.isfinite(float(T.min())) and math.isfinite(float(T.max()))):
         raise NumericError("sign step input has non-finite entries")
@@ -446,7 +415,7 @@ def solve(
     if adaptive:
         # beta(P) of each sweep is beta(P_next) of the sweep before
         sigma, SVt = X._factor
-        beta_P = _beta(SVt, P, bm.beta_star, bm.beta_sup)
+        beta_P = adaptive_beta(SVt, P, bm.beta_star, bm.beta_sup)
     if config.theory_mode:
         gs = _gamma_cap(config.alpha, bm.beta_star, float(sigma[0]))
         gamma = max(0.0, min(gamma, gs - GAMMA_MARGIN))
@@ -454,7 +423,7 @@ def solve(
         trace.gamma_star = gs
 
     iterations = 0
-    h0 = h_from_factors(P, Q, XtQ, out=PQ)
+    h0 = objective_h(P, Q, XtQ, out=PQ)
     _record(trace, snapshots, h0, h0, math.nan, math.nan, math.nan, Q)
 
     beta_star_phi = config.beta_star
@@ -462,17 +431,17 @@ def solve(
     stop_reason = "max_iters"
     final_gap = math.nan
     for k in range(1, config.max_iters + 1):
-        _xt_extrapolated(XtQ, F, W, Q, Q_prev, gamma, T)
-        flips = _sign_step(P, T, config.alpha)
+        extrapolate(XtQ, F, W, Q, Q_prev, gamma, T)
+        flips = update_P(P, T, config.alpha)
         # a sweep that flips no sign keeps P bit for bit, so beta(P) and the
         # P Q that the last h formed at this P and Q still hold
         beta_k = beta_P if adaptive else bm.value
         if flips:
             np.matmul(P, Q, out=PQ)
             if adaptive:
-                beta_P = _beta(SVt, P, bm.beta_star, bm.beta_sup)
+                beta_P = adaptive_beta(SVt, P, bm.beta_star, bm.beta_sup)
                 beta_k = max(beta_k, beta_P)
-        Q_next = _q_step(Q, _s_times(Xv, P, Q, XtQ, PQ), beta_k)
+        Q_next = update_Q(Xv, P, Q, XtQ, beta_k, PQ)
         F[:, K:] = XtQ
         np.matmul(Xv.T, Q_next, out=XtQ)
 
@@ -483,7 +452,7 @@ def solve(
         Q, Q_prev = Q_next, Q
         iterations = k
 
-        hk = h_from_factors(P, Q, XtQ, out=PQ)
+        hk = objective_h(P, Q, XtQ, out=PQ)
         phik = hk + 0.5 * beta_star_phi * dQ * dQ
         _record(trace, snapshots, phik, hk, dP, dQ, gap, Q)
 

@@ -1,4 +1,4 @@
-"""Dense formulas that the tests compare the library's kernels against."""
+"""Dense formulas that the tests compare the library's step functions against."""
 
 import numpy as np
 
@@ -23,3 +23,13 @@ def sign_select(M, P_prev):
     s = np.sign(M)
     np.copyto(s, P_prev, where=s == 0.0)
     return s
+
+
+def extrapolated_projector(Q, Q_prev, gamma):
+    """The d x d extrapolated projector E = Q Q^T + gamma (Q Q^T - Q' Q'^T),
+    Q' = Q_prev, whose product X^T E ``solvers.extrapolate`` forms from
+    rank-K factors; gamma = 0 gives Q Q^T alone."""
+    G = Q @ Q.T
+    if gamma == 0.0:
+        return G
+    return G + gamma * (G - Q_prev @ Q_prev.T)

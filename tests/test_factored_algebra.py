@@ -1,8 +1,9 @@
 """Property tests: every rank-K product a sweep uses equals its dense form.
 
-``solve`` never builds the d x d matrices E, XP or S; it evaluates X^T E,
-S Q, the objective h and the criticality residual from X^T Q and friends,
-and the adaptive beta from the factor Sigma V^T of X = U Sigma V^T.
+``solve`` never builds the d x d matrices E, XP or S; its step functions
+evaluate X^T E (``extrapolate``), S Q, the objective h (``objective_h``) and
+the criticality residual from X^T Q and friends, and the adaptive beta
+(``adaptive_beta``) from the factor Sigma V^T of X = U Sigma V^T.
 Each test below draws a small problem and compares the factored value with
 the dense formula to 1e-10 relative.  The screened sign step, which
 divides only the entries that can flip, must equal the dense step bit for
@@ -20,15 +21,14 @@ from l1subspace.core import DataMatrix, SignMatrix, StiefelPoint, objective_h
 from l1subspace.errors import NumericError
 from l1subspace.linalg import polar_factor, spectral_norm
 from l1subspace.solvers import (
-    _beta,
     _s_times,
-    _sign_step,
-    _xt_extrapolated,
+    adaptive_beta,
     criticality_residual,
     extrapolate,
+    update_P,
 )
 
-from dense_reference import sign_select
+from dense_reference import extrapolated_projector, sign_select
 
 RTOL = 1e-10
 
@@ -63,9 +63,9 @@ def test_sign_step_input_matches_dense_extrapolation(problem):
     Xt = X.values.T
     F = np.hstack([np.full((X.n, Q.k), np.nan), Xt @ Q_prev.values])
     W, out = np.empty((2 * Q.k, X.d)), np.empty((X.n, X.d))
-    got = _xt_extrapolated(Xt @ Q.values, F, W, Q.values, Q_prev.values, gamma, out)
+    got = extrapolate(Xt @ Q.values, F, W, Q.values, Q_prev.values, gamma, out)
     assert got is out
-    assert_close(got, Xt @ extrapolate(Q, Q_prev, gamma))
+    assert_close(got, Xt @ extrapolated_projector(Q.values, Q_prev.values, gamma))
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,7 +95,7 @@ def test_criticality_residual_matches_dense_formula(problem):
 def test_objective_h_matches_dense_inner_product(problem):
     X, Q, _, P, _ = problem
     want = -float(np.vdot(P.values, (X.values.T @ Q.values) @ Q.values.T))
-    assert_close(objective_h(P, Q, X), want)
+    assert_close(objective_h(P.values, Q.values, X.values.T @ Q.values), want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,7 +110,7 @@ def test_factored_beta_matches_dense_norm(problem, dropped):
     assert SVt.shape == (min(X.d, X.n), X.n)
     assert_close(sigma[0], spectral_norm(values))
     want = 1.5 * 2.0 + 2.0 * spectral_norm(values @ P.values)
-    assert_close(_beta(SVt, P.values, 2.0, math.inf), want)
+    assert_close(adaptive_beta(SVt, P.values, 2.0, math.inf), want)
 
 
 @st.composite
@@ -158,9 +158,9 @@ def test_screened_sign_step_matches_dense_sign_step(case):
     got = P.copy()
     if want is None:
         with pytest.raises(NumericError, match="non-finite"):
-            _sign_step(got, T.copy(), alpha)
+            update_P(got, T.copy(), alpha)
         return
-    flips = _sign_step(got, T.copy(), alpha)
+    flips = update_P(got, T.copy(), alpha)
     assert got.tobytes() == want.tobytes()
     assert flips == np.count_nonzero(want != P)
 

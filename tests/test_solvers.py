@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from l1subspace import solvers
+from l1subspace import cli, core, solvers
 from l1subspace.core import (
     AdaptiveBeta,
     DataMatrix,
@@ -13,7 +14,6 @@ from l1subspace.core import (
     SignMatrix,
     SolverConfig,
     StiefelPoint,
-    h_from_factors,
     objective_h,
     objective_l,
 )
@@ -30,10 +30,8 @@ from l1subspace.linalg import random_stiefel, spectral_norm
 from l1subspace.metrics import reconstruct, tev
 from l1subspace.solvers import (
     ZERO_TOL,
-    _beta,
     _closing,
     _gamma_cap,
-    _q_step,
     _s_times,
     adaptive_beta,
     check_alpha_condition,
@@ -60,18 +58,28 @@ def random_centered(d, n, rng):
 
 
 # ---------------------------------------------------------------------------
-# extrapolate
+# extrapolate: at X = I the product X^T E it forms is the projector E itself
+
+
+def identity_xt_e(Q, Q_prev, gamma):
+    """extrapolate at X = I, where X^T Q = Q and X^T Q' = Q'."""
+    Q, Q_prev = Q.values, Q_prev.values
+    d, k = Q.shape
+    F = np.hstack([np.full((d, k), np.nan), Q_prev])
+    out = np.empty((d, d))
+    assert extrapolate(Q, F, np.empty((2 * k, d)), Q, Q_prev, gamma, out) is out
+    return out
 
 
 def test_extrapolate_gamma_zero_is_projector():
     Q = random_stiefel(5, 2, 3)
-    E = extrapolate(Q, random_stiefel(5, 2, 4), 0.0)
+    E = identity_xt_e(Q, random_stiefel(5, 2, 4), 0.0)
     assert np.array_equal(E, Q.values @ Q.values.T)
 
 
 def test_extrapolate_equal_arguments():
     Q = random_stiefel(4, 2, 8)
-    E = extrapolate(Q, Q, 0.7)
+    E = identity_xt_e(Q, Q, 0.7)
     assert np.allclose(E, Q.values @ Q.values.T, atol=1e-15)
 
 
@@ -79,7 +87,7 @@ def test_extrapolate_axis_fixture():
     # frozen: Q = e1, Q_prev = e2, gamma = 1 gives diag(2, -1)
     Q = StiefelPoint([[1.0], [0.0]])
     Q_prev = StiefelPoint([[0.0], [1.0]])
-    E = extrapolate(Q, Q_prev, 1.0)
+    E = identity_xt_e(Q, Q_prev, 1.0)
     assert np.array_equal(E, [[2.0, 0.0], [0.0, -1.0]])
 
 
@@ -87,35 +95,29 @@ def test_extrapolate_is_symmetric():
     rng = np.random.default_rng(12)
     Q = random_stiefel(6, 3, rng)
     Qp = random_stiefel(6, 3, rng)
-    E = extrapolate(Q, Qp, 0.5)
+    E = identity_xt_e(Q, Qp, 0.5)
     assert np.linalg.norm(E - E.T) <= 1e-10
 
 
-def test_extrapolate_domain_and_shape_errors():
-    Q = StiefelPoint([[1.0], [0.0]])
-    with pytest.raises(DomainError):
-        extrapolate(Q, Q, 1.5)
-    with pytest.raises(ShapeError):
-        extrapolate(Q, StiefelPoint([[1.0], [0.0], [0.0]]), 0.5)
-
-
 # ---------------------------------------------------------------------------
-# update_P
+# update_P: the sign step in place on P, from the product T = X^T E
 
 
 def test_update_p_zero_data_keeps_signs():
-    X = DataMatrix(np.zeros((2, 3)), centered=True)
-    P = SignMatrix([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
-    out = update_P(P, X, np.eye(2), 0.5)
-    assert np.array_equal(out.values, P.values)
+    X = np.zeros((2, 3))
+    P = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+    out = P.copy()
+    assert update_P(out, X.T @ np.eye(2), 0.5) == 0
+    assert np.array_equal(out, P)
 
 
 def test_update_p_huge_alpha_keeps_signs():
     rng = np.random.default_rng(2)
-    X = DataMatrix(rng.uniform(-1.0, 1.0, size=(3, 4)))
-    P = SignMatrix(np.where(rng.standard_normal((4, 3)) >= 0, 1.0, -1.0))
-    out = update_P(P, X, np.eye(3), 1e12)
-    assert np.array_equal(out.values, P.values)
+    X = rng.uniform(-1.0, 1.0, size=(3, 4))
+    P = np.where(rng.standard_normal((4, 3)) >= 0, 1.0, -1.0)
+    out = P.copy()
+    assert update_P(out, X.T @ np.eye(3), 1e12) == 0
+    assert np.array_equal(out, P)
 
 
 def test_update_p_minimizes_prox_objective():
@@ -123,12 +125,12 @@ def test_update_p_minimizes_prox_objective():
     rng = np.random.default_rng(7)
     for _ in range(5):
         n, d = 2, 2
-        X = DataMatrix(rng.standard_normal((d, n)))
+        X = rng.standard_normal((d, n))
         E = rng.standard_normal((d, d))
         E = (E + E.T) / 2.0
         P_cur = np.where(rng.standard_normal((n, d)) >= 0, 1.0, -1.0)
         alpha = float(rng.uniform(0.2, 3.0))
-        T = X.values.T @ E
+        T = X.T @ E
 
         def prox_obj(P):
             return -np.vdot(P, T) + 0.5 * alpha * np.linalg.norm(P - P_cur) ** 2
@@ -137,68 +139,73 @@ def test_update_p_minimizes_prox_objective():
             prox_obj(np.array(bits, dtype=float).reshape(n, d))
             for bits in itertools.product([-1.0, 1.0], repeat=n * d)
         )
-        got = update_P(SignMatrix(P_cur), X, E, alpha)
-        assert prox_obj(got.values) == pytest.approx(best, abs=1e-12)
+        got = P_cur.copy()
+        flips = update_P(got, T.copy(), alpha)
+        assert prox_obj(got) == pytest.approx(best, abs=1e-12)
+        assert flips == np.count_nonzero(got != P_cur)
 
 
 def test_update_p_errors():
-    X = DataMatrix(np.zeros((2, 3)))
-    P = SignMatrix(np.ones((3, 2)))
-    with pytest.raises(DomainError):
-        update_P(P, X, np.eye(2), 0.0)
-    with pytest.raises(ShapeError):
-        update_P(P, X, np.eye(3), 1.0)
-    with pytest.raises(ShapeError):
-        update_P(SignMatrix(np.ones((2, 2))), X, np.eye(2), 1.0)
+    # the sign step's one error: P + T / alpha with a non-finite entry,
+    # whether T holds one or T / alpha overflows
+    P = np.ones((3, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        T = np.zeros((3, 2))
+        T[1, 0] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            update_P(P.copy(), T, 0.5)
+    with pytest.raises(NumericError, match="non-finite"):
+        update_P(P.copy(), np.full((3, 2), -1e300), 1e-10)
 
 
 # ---------------------------------------------------------------------------
-# update_Q
+# update_Q: the Procrustes step from the products X^T Q and, optionally, P Q
 
 
 def test_update_q_zero_data_returns_same_point():
-    X = DataMatrix(np.zeros((3, 4)))
-    Q = random_stiefel(3, 2, 5)
-    P = SignMatrix(np.ones((4, 3)))
-    out = update_Q(Q, P, X, 2.0)
-    assert out is Q
+    X = np.zeros((3, 4))
+    Q = random_stiefel(3, 2, 5).values
+    P = np.ones((4, 3))
+    assert update_Q(X, P, Q, X.T @ Q, 2.0) is Q
 
 
 def test_update_q_k1_closed_form():
     rng = np.random.default_rng(9)
-    X = DataMatrix(rng.standard_normal((4, 6)))
-    Q = random_stiefel(4, 1, rng)
-    P = SignMatrix(np.where(rng.standard_normal((6, 4)) >= 0, 1.0, -1.0))
+    X = rng.standard_normal((4, 6))
+    Q = random_stiefel(4, 1, rng).values
+    P = np.where(rng.standard_normal((6, 4)) >= 0, 1.0, -1.0)
     beta = 3.0
-    XP = X.values @ P.values
+    XP = X @ P
     S = XP + XP.T
-    M = Q.values + (S @ Q.values) / beta
-    got = update_Q(Q, P, X, beta)
-    assert np.allclose(got.values, M / np.linalg.norm(M), atol=1e-12)
+    M = Q + (S @ Q) / beta
+    got = update_Q(X, P, Q, X.T @ Q, beta)
+    assert np.allclose(got, M / np.linalg.norm(M), atol=1e-12)
+    # a given P Q is the one it would form
+    assert np.array_equal(update_Q(X, P, Q, X.T @ Q, beta, P @ Q), got)
 
 
 def test_update_q_maximizes_procrustes_objective():
     rng = np.random.default_rng(21)
-    X = DataMatrix(rng.standard_normal((5, 7)))
-    Q = random_stiefel(5, 2, rng)
-    P = SignMatrix(np.where(rng.standard_normal((7, 5)) >= 0, 1.0, -1.0))
+    X = rng.standard_normal((5, 7))
+    Q = random_stiefel(5, 2, rng).values
+    P = np.where(rng.standard_normal((7, 5)) >= 0, 1.0, -1.0)
     beta = 4.0
-    XP = X.values @ P.values
-    M = Q.values + ((XP + XP.T) @ Q.values) / beta
-    got = update_Q(Q, P, X, beta)
-    best = float(np.vdot(got.values, M))
+    XP = X @ P
+    M = Q + ((XP + XP.T) @ Q) / beta
+    got = update_Q(X, P, Q, X.T @ Q, beta)
+    best = float(np.vdot(got, M))
     for _ in range(500):
         Z, _ = np.linalg.qr(rng.standard_normal((5, 2)))
         assert float(np.vdot(Z, M)) <= best + 1e-8
 
 
 def test_update_q_errors():
-    X = DataMatrix(np.zeros((2, 3)))
-    Q = StiefelPoint([[1.0], [0.0]])
-    with pytest.raises(DomainError):
-        update_Q(Q, SignMatrix(np.ones((3, 2))), X, 0.0)
-    with pytest.raises(ShapeError):
-        update_Q(Q, SignMatrix(np.ones((2, 2))), X, 1.0)
+    # an overflowed product reaches the polar factor, which rejects it
+    X = np.eye(2)
+    Q = np.array([[1.0], [0.0]])
+    XtQ = np.array([[np.inf], [0.0]])
+    with pytest.raises(NumericError, match="non-finite"):
+        update_Q(X, np.ones((2, 2)), Q, XtQ, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,26 +233,25 @@ def test_gamma_star_domain_errors():
 
 def test_adaptive_beta_zero_data():
     X = DataMatrix(np.zeros((2, 3)))
-    P = SignMatrix(np.ones((3, 2)))
-    assert adaptive_beta(X, P, 2.0, 100.0) == 3.0
+    assert adaptive_beta(X._factor[1], np.ones((3, 2)), 2.0, 100.0) == 3.0
 
 
 def test_adaptive_beta_known_norm():
     # X P = [[10]] so the spectral norm is exactly 10 and b = 1.5*2 + 20
-    X = DataMatrix([[10.0]])
-    P = SignMatrix([[1.0]])
-    assert adaptive_beta(X, P, 2.0, 100.0) == pytest.approx(23.0, rel=1e-6)
+    SVt = DataMatrix([[10.0]])._factor[1]
+    P = np.ones((1, 1))
+    assert adaptive_beta(SVt, P, 2.0, 100.0) == pytest.approx(23.0, rel=1e-6)
     with pytest.raises(InfeasibleBoundError):
-        adaptive_beta(X, P, 2.0, 20.0)
+        adaptive_beta(SVt, P, 2.0, 20.0)
 
 
 @pytest.mark.parametrize("beta_sup", [float("nan"), -1.0])
 def test_adaptive_beta_checks_the_upper_bound(beta_sup):
-    # a NaN bound once passed (25.18 here) and a negative one was infeasible
-    X = DataMatrix(np.random.default_rng(0).standard_normal((4, 6)))
-    P = SignMatrix(np.ones((6, 4)))
+    # a NaN bound once passed (25.18 here) and a negative one was
+    # infeasible; the bounds that reach the step are AdaptiveBeta's, which
+    # rejects both before a theory-mode solve can start
     with pytest.raises(DomainError, match="beta_sup"):
-        adaptive_beta(X, P, 1.0, beta_sup)
+        AdaptiveBeta(1.0, beta_sup)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +379,7 @@ def test_solve_objective_never_worse_than_start():
 
 
 def test_palm_specialization_is_bit_identical():
-    # gamma = 0 must match a hand-rolled loop of the two plain updates
+    # gamma = 0 must match a hand-rolled loop of the two plain steps
     rng = np.random.default_rng(0)
     X = random_centered(8, 20, rng)
     Q0 = random_stiefel(8, 2, 1)
@@ -381,18 +387,18 @@ def test_palm_specialization_is_bit_identical():
                            max_iters=15, tol=1e-14)
     rep = solve(X, cfg, Q0, snapshots=True)
 
-    T0 = (X.values.T @ Q0.values) @ Q0.values.T
-    P = SignMatrix(sign_select(T0, np.ones((20, 8))))
-    Q = Q0
-    qs = [Q0.values]
+    Xv, Q = X.values, Q0.values
+    P = sign_select((Xv.T @ Q) @ Q.T, np.ones((20, 8)))
+    qs = [Q]
     for _ in range(rep.iterations):
-        P = update_P(P, X, Q.values @ Q.values.T, 1e-4)
-        Q = update_Q(Q, P, X, 5.0)
-        qs.append(Q.values)
+        XtQ = Xv.T @ Q
+        update_P(P, XtQ @ Q.T, 1e-4)
+        Q = update_Q(Xv, P, Q, XtQ, 5.0)
+        qs.append(Q)
     assert len(rep.trace.q_snapshots) == rep.iterations + 1
     for snap, q in zip(rep.trace.q_snapshots, qs):
         assert np.array_equal(snap, q)
-    assert np.array_equal(rep.final_P.values, P.values)
+    assert np.array_equal(rep.final_P.values, P)
 
 
 def test_tall_problem_never_forms_a_d_by_d_matrix():
@@ -563,12 +569,8 @@ def test_closing_on_written_artifacts_reproduces_the_report(tmp_path, config, st
 # (name, call on (X, Q, P), the blocks it takes)
 COUPLED = [
     ("objective_l", lambda X, Q, P: objective_l(Q, X), "Q"),
-    ("objective_h", lambda X, Q, P: objective_h(P, Q, X), "QP"),
     ("tev", lambda X, Q, P: tev(X, Q), "Q"),
     ("reconstruct", lambda X, Q, P: reconstruct(X, Q), "Q"),
-    ("update_P", lambda X, Q, P: update_P(P, X, np.eye(X.d), 1.0), "P"),
-    ("update_Q", lambda X, Q, P: update_Q(Q, P, X, 1.0), "QP"),
-    ("adaptive_beta", lambda X, Q, P: adaptive_beta(X, P, 1.0, 1e9), "P"),
     ("check_alpha_condition", lambda X, Q, P: check_alpha_condition(X, Q, 1e-6), "Q"),
     ("solve", lambda X, Q, P: solve(X, practical_config(), Q), "Q"),
     ("criticality_residual", lambda X, Q, P: criticality_residual(Q, P, X), "QP"),
@@ -716,13 +718,13 @@ def _reference_solve(X, config, init_Q):
     adaptive = isinstance(bm, AdaptiveBeta)
     if adaptive:
         sigma, SVt = X._factor
-        beta_P = _beta(SVt, P, bm.beta_star, bm.beta_sup)
+        beta_P = adaptive_beta(SVt, P, bm.beta_star, bm.beta_sup)
     if config.theory_mode:
         gs = _gamma_cap(config.alpha, bm.beta_star, float(sigma[0]))
         gamma = max(0.0, min(gamma, gs - solvers.GAMMA_MARGIN))
         trace.gamma_star = gs
     iterations = 0
-    h0 = h_from_factors(P, Q, XtQ)
+    h0 = objective_h(P, Q, XtQ)
     solvers._record(trace, True, h0, h0, math.nan, math.nan, math.nan, Q)
     dQ_prev = 0.0
     stop_reason = "max_iters"
@@ -735,19 +737,19 @@ def _reference_solve(X, config, init_Q):
                 [(1.0 + gamma) * Q.T, -gamma * Q_prev.T])
         P_next = sign_select(P + XtE / config.alpha, P)
         if adaptive:
-            beta_next = _beta(SVt, P_next, bm.beta_star, bm.beta_sup)
+            beta_next = adaptive_beta(SVt, P_next, bm.beta_star, bm.beta_sup)
             beta_k = max(beta_P, beta_next)
             beta_P = beta_next
         else:
             beta_k = bm.value
-        Q_next = _q_step(Q, _s_times(Xv, P_next, Q, XtQ), beta_k)
+        Q_next = update_Q(Xv, P_next, Q, XtQ, beta_k)
         XtQ_prev, XtQ = XtQ, Xv.T @ Q_next
         dP = 2.0 * math.sqrt(np.count_nonzero(P_next != P))
         dQ = float(np.linalg.norm(Q_next - Q))
         gap = math.sqrt(dP * dP + dQ * dQ + dQ_prev * dQ_prev)
         P, Q, Q_prev = P_next, Q_next, Q
         iterations = k
-        hk = h_from_factors(P, Q, XtQ)
+        hk = objective_h(P, Q, XtQ)
         solvers._record(trace, True, hk + 0.5 * config.beta_star * dQ * dQ,
                         hk, dP, dQ, gap, Q)
         final_gap = gap
@@ -861,3 +863,57 @@ def test_sweep_that_flips_no_sign_allocates_less_than_an_n_by_k_block(monkeypatc
     assert rep.iterations == 6
     assert len(growth) >= 3
     assert max(growth) < 4000 * 3 * 8
+
+
+# ---------------------------------------------------------------------------
+# each step by its name
+
+STEPS = ("extrapolate", "update_P", "update_Q", "adaptive_beta", "objective_h")
+
+
+def _same_report(a, b):
+    for name in ("phi", "h", "dP", "dQ", "gap"):
+        assert _same(getattr(a.trace, name), getattr(b.trace, name)), name
+    assert len(a.trace.q_snapshots) == len(b.trace.q_snapshots)
+    for got_Q, want_Q in zip(a.trace.q_snapshots, b.trace.q_snapshots):
+        assert np.array_equal(got_Q, want_Q)
+    assert a.trace.gamma_star == b.trace.gamma_star
+    assert np.array_equal(a.final_P.values, b.final_P.values)
+    assert np.array_equal(a.final_Q.values, b.final_Q.values)
+    assert a.final_objective == b.final_objective
+    assert _same(a.criticality, b.criticality)
+    assert a.alpha_condition_holds is b.alpha_condition_holds
+    assert (a.stop_reason, a.iterations) == (b.stop_reason, b.iterations)
+    assert _same(a.final_gap, b.final_gap)
+
+
+@pytest.mark.parametrize("config", [
+    practical_config(gamma=1.0, max_iters=30, tol=1e-12),
+    practical_config(gamma=0.0, max_iters=30, tol=1e-12),
+    theory_config(max_iters=30, tol=1e-12),
+], ids=["practical-gamma-1", "practical-gamma-0", "theory"])
+def test_solve_runs_each_step_by_its_name(monkeypatch, config):
+    # the benchmark's tracer times a step by rebinding its name in every
+    # module that holds it; solve must look each step up by that name, and
+    # a counting pass-through must leave the report as it was
+    X = random_centered(9, 30, np.random.default_rng(24))
+    Q0 = random_stiefel(9, 2, 1)
+    plain = solve(X, config, Q0, snapshots=True)
+    calls = collections.Counter()
+    for name in STEPS:
+        original = getattr(solvers, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for module in (core, solvers, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    rep = solve(X, config, Q0, snapshots=True)
+    n = rep.iterations
+    assert n > 1
+    assert calls["extrapolate"] == calls["update_P"] == calls["update_Q"] == n
+    assert calls["objective_h"] == n + 1
+    assert (calls["adaptive_beta"] >= 1) is config.theory_mode
+    _same_report(rep, plain)

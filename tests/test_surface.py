@@ -3,14 +3,17 @@ because a command, a demo or a benchmark workload runs it.
 
 A name counts as used when the command line, a demo or the benchmark's
 workloads name it in their source, or when the benchmark's tracer lists it
-in ``LAYERS``, which it rebinds by name.  The sources are read with ``ast``,
-never imported.  The command line's failure rule is read the same way: one
-boundary turns library errors into exit codes.  So is the scalar rule: only
-``core`` says what a number or a count is.  So are the closing figures:
-``check`` takes them from the function ``solve`` closes with.
+in ``LAYERS``, which it rebinds by name; each of those names must be a
+function of its home module, or a traced run crashes.  The sources are read
+with ``ast``, never imported.  The command line's failure rule is read the
+same way: one boundary turns library errors into exit codes.  So is the
+scalar rule: only ``core`` says what a number or a count is.  So are the
+closing figures: ``check`` takes them from the function ``solve`` closes
+with.
 """
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -31,23 +34,24 @@ def _named_in(path):
     return names
 
 
-def _layer_names(path):
-    for node in ast.parse(path.read_text(), filename=str(path)).body:
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _layers():
+    """The tracer's LAYERS as (home module name, function names) pairs."""
+    for node in ast.parse(TRACER.read_text(), filename=str(TRACER)).body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "LAYERS" for target in node.targets
         ):
-            return {
-                leaf.value
-                for leaf in ast.walk(node.value)
-                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
-            }
-    raise AssertionError(f"{path} defines no LAYERS")
+            return [(home.id, [leaf.value for leaf in names.elts])
+                    for home, names in zip(node.value.keys, node.value.values)]
+    raise AssertionError(f"{TRACER} defines no LAYERS")
 
 
 def test_every_public_function_is_run_by_a_command_demo_or_workload():
     sources = [ROOT / "src" / "l1subspace" / "cli.py", ROOT / "perfbench" / "workloads.py"]
     sources += sorted((ROOT / "demos").glob("*.py"))
-    used = _layer_names(ROOT / "perfbench" / "tracer.py")
+    used = {name for _, names in _layers() for name in names}
     for path in sources:
         used |= _named_in(path)
     functions = [
@@ -56,6 +60,20 @@ def test_every_public_function_is_run_by_a_command_demo_or_workload():
     assert functions
     unused = sorted(set(functions) - used)
     assert not unused, f"public functions no command, demo or workload runs: {unused}"
+
+
+def test_every_traced_layer_is_a_function_of_its_home_module():
+    # the tracer rebinds each LAYERS name in every module that holds it, so a
+    # name that its home module lost or only imports crashes a traced run
+    missing = []
+    for home, names in _layers():
+        module = importlib.import_module(f"l1subspace.{home}")
+        for name in names:
+            function = getattr(module, name, None)
+            if not (inspect.isfunction(function)
+                    and inspect.unwrap(function).__module__ == module.__name__):
+                missing.append(f"{home}.{name}")
+    assert not missing, f"LAYERS names no function of their home module: {missing}"
 
 
 def test_cli_maps_library_errors_at_one_boundary():
