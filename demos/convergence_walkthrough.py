@@ -60,7 +60,7 @@ print(f"criticality residual {report.criticality:.3e} vs bound {bound:.3e}")
 print(f"step-size condition holds: {report.alpha_condition_holds}")
 
 # ---------------------------------------------------------------------
-# theory mode: adaptive beta and capped extrapolation, so every sweep
+# theory mode: backtracked beta and capped extrapolation, so every sweep
 # provably lowers the potential by a known margin
 
 theory_config = SolverConfig(
@@ -76,9 +76,10 @@ audit = sufficient_decrease_check(theory_report.trace, theory_config)
 
 print(f"\ntheory run stopped after {theory_report.iterations} sweeps, "
       f"extrapolation capped at gamma* = {theory_report.trace.gamma_star:.3e}")
+print(f"{theory_report.q_step_trials} Q-step trials, last beta {theory_report.final_beta:.3e}")
 print(f"decrease audit: {audit.checked} sweeps checked, "
       f"{len(audit.violations)} violations (kappa1 = {audit.kappa1:.3e})")
 
-# both runs land on equally good objectives; theory mode just moves slower
+# both runs land on equally good objectives
 print(f"\nobjectives: practical {report.final_objective:.6f}, "
       f"theory {theory_report.final_objective:.6f}")

@@ -293,6 +293,15 @@ def parse_trace_csv(text: str) -> RunTrace:
     return trace
 
 
+def _beta_results(report: RunReport) -> dict:
+    """The Q-step trials and the last beta of a run that backtracked its
+    beta; nothing for a fixed beta, whose report keeps its old keys."""
+    if report.q_step_trials is None:
+        return {}
+    return {"q_step_trials": int(report.q_step_trials),
+            "final_beta": float(report.final_beta)}
+
+
 def _run_solver(X: DataMatrix, config: SolverConfig, k: int, seed) -> RunReport:
     """Solve from the seeded random start Q0, with library errors as exit codes."""
     with _fails_as(EXIT_CONFIG, "invalid subspace dimension", DomainError, ShapeError):
@@ -388,6 +397,7 @@ def cmd_solve(resolved: dict, out: str) -> None:
             "final_Q": "final_Q.csv",
             "final_P": "final_P.csv",
         },
+        **_beta_results(report),
     }
     _write_report(out, "solve", resolved, results,
                   {"wall_time_seconds": float(report.wall_time)})
@@ -606,6 +616,7 @@ def cmd_reconstruct(resolved: dict, out: str) -> None:
         "rmse": rmse,
         "mean_rmse": float(np.mean(rmse)) if rmse is not None else None,
         "files": [f"recon_{i}.pgm" for i in range(1, 10)],
+        **_beta_results(report),
     }
     _write_report(out, "reconstruct", resolved, results,
                   {"wall_time_seconds": float(report.wall_time)})

@@ -127,10 +127,10 @@ class DataMatrix:
         ``CENTERING_TOL``.
 
     The spectrum of X is computed on first use and kept, so every reader of
-    X's singular values shares one SVD: ``_sigma`` for the singular values
-    alone, ``_factor`` for the thin factor that theory mode needs.  Both are
-    read-only.  Two threads that fill the same entry at once at most compute
-    it twice, and LAPACK returns the same value both times.
+    X's singular values (tev, the energy rule, theory mode's gamma cap)
+    shares one SVD that computes no vectors: ``_sigma``, read-only.  Two
+    threads that fill it at once at most compute it twice, and LAPACK
+    returns the same values both times.
     """
 
     values: np.ndarray
@@ -153,24 +153,8 @@ class DataMatrix:
         return self.values.shape[1]
 
     @functools.cached_property
-    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """sigma and Sigma V^T from the thin SVD X = U Sigma V^T.
-
-        Sigma V^T is r x n with r = min(d, n).  U has orthonormal columns, so
-        ||X M||_2 = ||(Sigma V^T) M||_2 for every M with n rows.
-        """
-        _, sigma, Vt = _svd(self.values, "data factorization")
-        SVt = sigma[:, None] * Vt
-        sigma.setflags(write=False)
-        SVt.setflags(write=False)
-        return sigma, SVt
-
-    @functools.cached_property
     def _sigma(self) -> np.ndarray:
-        """All min(d, n) singular values, nonincreasing: the factor's when it
-        exists, otherwise from an SVD that computes no vectors."""
-        if "_factor" in self.__dict__:
-            return self._factor[0]
+        """All min(d, n) singular values, nonincreasing."""
         sigma = _svd(self.values, "singular values", compute_uv=False)
         sigma.setflags(write=False)
         return sigma

@@ -15,8 +15,8 @@ problem costs O(ndK) time and O(nd) memory and never forms a d x d matrix.
 
 Each step is one function, the one that ``solve`` runs:
 ``extrapolate`` forms X^T E, ``update_P`` takes the sign step, ``update_Q``
-the Procrustes step, ``adaptive_beta`` gives theory mode's beta and
-``core.objective_h`` the recorded h.  They take plain arrays and validate
+the Procrustes step, ``adaptive_beta`` backtracks the Q step's beta (one
+``update_Q`` per trial) and ``core.objective_h`` gives the recorded h.  They take plain arrays and validate
 no argument: ``solve`` validates its inputs once, at its boundary.  The
 benchmark's tracer (``perfbench/tracer.py``) rebinds these names in every
 module and times each step by its name.
@@ -40,22 +40,45 @@ closing checks form X^T Q Q^T once, in T, and final_P adopts P itself.
 
 A sweep that flips no sign leaves P bit for bit as it was, so everything
 that depends on P alone is reused rather than recomputed: the sign step
-skips its compare, gather and scatter, the Q step reads the P Q that the
-previous sweep's objective formed at the same P and Q, and theory mode
-keeps its beta.  The closing criticality residual likewise reuses the last
-P Q.
+skips its compare, gather and scatter, and the Q step reads the P Q that
+the previous sweep's objective formed at the same P and Q.  The closing
+criticality residual likewise reuses the last P Q.
 
-Theory mode's adaptive beta needs ||XP||_2 as well.  With the thin SVD
-X = U Sigma V^T that is ||(Sigma V^T) P||_2, the norm of an r x d matrix
-with r = min(d, n): O(r n d), evaluated once per sweep that flips a sign.
-The factor Sigma V^T and sigma_1 = ||X||_2, which caps gamma, come from the
-spectrum that the DataMatrix keeps (``DataMatrix._factor``): one SVD of
-X, taken on first use, serves every run on that X.
+An AdaptiveBeta run backtracks the Q step's beta (``adaptive_beta``), as
+FISTA backtracks an unknown Lipschitz constant (Beck & Teboulle, SIAM J.
+Imaging Sci. 2, 2009), inside the PALM analysis (Bolte, Sabach & Teboulle,
+Math. Program. 146, 2014).  With f(Q) = h(P, Q) = -<P Q, X^T Q>, whose
+gradient is -S Q, the run keeps a curvature estimate L, starting at
+beta_star.  A trial takes beta_k = 1.5 beta_star + L and
+Q+ = polar(Q + S Q / beta_k), and is accepted when the descent inequality
+
+    f(Q+) <= f(Q) - <S Q, D> + (L / 2) ||D||_F^2,    D = Q+ - Q,
+
+holds; otherwise L doubles.  f is quadratic in Q, so f(Q+) - f(Q) +
+<S Q, D> is exactly -<D, S D> / 2 = -<P D, X^T D>, and that is what is
+tested, from two n x K products, never a difference of two nearly equal
+values of f.  Q+ maximizes <Z, S Q + beta_k Q> over Stiefel points Z, all
+of norm sqrt(K), so comparing with Z = Q gives <-S Q, D> +
+(beta_k / 2) ||D||_F^2 <= 0, and with the accepted inequality
+
+    f(Q+) <= f(Q) - ((beta_k - L) / 2) ||D||_F^2 = f(Q) - 0.75 beta_star ||D||_F^2,
+
+the decrease per unit ||D||_F^2 that the decrease audit's kappa1 rests
+on.  A trial with
+L >= ||S||_2 is always accepted, since -<D, S D> / 2 <= ||S||_2 ||D||_F^2 / 2;
+the run raises InfeasibleBoundError rather than let beta_k pass beta_sup, and
+L never falls below beta_star, so beta_k stays in [1.5 beta_star, beta_sup],
+the boundedness the rate argument needs.  After an accepted trial the next
+sweep starts from max(L / 2, beta_star), so the estimate follows the
+curvature along the steps actually taken, which can lie far below
+||S||_2.  No norm of XP
+is taken: sigma_1 = ||X||_2, which caps theory mode's gamma, is the
+spectrum that the DataMatrix keeps, one SVD without vectors per X.
 
 Two parameter regimes are supported.  The practical regime takes a fixed
-Q-step parameter beta and any gamma in [0, 1].  The theory regime derives
-beta each sweep from the current sign block and caps gamma strictly below
-gamma_star, which makes the recorded potential provably decrease; the
+Q-step parameter beta and any gamma in [0, 1].  The theory regime
+backtracks beta as above and caps gamma strictly below gamma_star, which
+makes the recorded potential provably decrease; the
 sufficient_decrease_check audit verifies that on a finished trace.
 """
 
@@ -88,12 +111,16 @@ from .errors import (
     SelectionError,
     ShapeError,
 )
-from .linalg import polar_factor, spectral_norm
+from .linalg import polar_factor
 
 # entries of X^T Q Q^T at or below this magnitude count as zero
 ZERO_TOL = 1e-12
 # margin by which theory mode keeps gamma strictly below gamma_star
 GAMMA_MARGIN = 1e-12
+# factors by which adaptive_beta's curvature estimate L grows after a
+# rejected trial and shrinks after an accepted sweep
+L_GROWTH = 2.0
+L_SHRINK = 0.5
 
 
 @dataclass
@@ -137,7 +164,12 @@ class DecreaseReport:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of one solve: final blocks, diagnostics, and the trace."""
+    """Outcome of one solve: final blocks, diagnostics, and the trace.
+
+    An AdaptiveBeta run also reports ``q_step_trials``, its number of Q-step
+    trials, and ``final_beta``, the beta_k of its last sweep; both are None
+    for a FixedBeta run.
+    """
 
     final_P: SignMatrix
     final_Q: StiefelPoint
@@ -149,6 +181,8 @@ class RunReport:
     iterations: int
     wall_time: float
     final_gap: float
+    q_step_trials: int | None = None
+    final_beta: float | None = None
 
 
 def extrapolate(
@@ -228,22 +262,14 @@ def _s_times(
     return X @ PQ + P.T @ XtQ
 
 
-def update_Q(
-    X: np.ndarray,
-    P: np.ndarray,
-    Q: np.ndarray,
-    XtQ: np.ndarray,
-    beta: float,
-    PQ: np.ndarray | None = None,
-) -> np.ndarray:
+def update_Q(Q: np.ndarray, SQ: np.ndarray, beta: float) -> np.ndarray:
     """Procrustes step: the polar factor of Q + S Q / beta for S = XP + (XP)^T,
     or Q itself when S Q = 0.
 
     This maximizes <Q', S Q + beta Q> over Stiefel points Q', the linearized
-    objective plus the proximal coupling to Q.  S Q is formed from the n x K
-    products X^T Q and, when given, P Q (see ``_s_times``).
+    objective plus the proximal coupling to Q.  SQ is the d x K product S Q,
+    which ``_s_times`` forms from the n x K products X^T Q and P Q.
     """
-    SQ = _s_times(X, P, Q, XtQ, PQ)
     if not SQ.any():
         return Q
     return polar_factor(Q + SQ / beta)
@@ -256,15 +282,38 @@ def _gamma_cap(alpha_star: float, beta_star: float, sigma1: float) -> float:
     return min(1.0, alpha_star * beta_star / (8.0 * sigma1 * sigma1))
 
 
-def adaptive_beta(SVt: np.ndarray, P: np.ndarray, beta_star: float, beta_sup: float) -> float:
-    """Theory-mode Q-step parameter (3/2) beta_star + 2 ||X P||_2, from the
-    factor Sigma V^T of X; InfeasibleBoundError when it exceeds beta_sup."""
-    b = 1.5 * beta_star + 2.0 * spectral_norm(SVt @ P)
-    if b > beta_sup:
-        raise InfeasibleBoundError(
-            f"adaptive beta {b:.6g} exceeds the configured bound beta_sup = {beta_sup:.6g}"
-        )
-    return b
+def adaptive_beta(
+    X: np.ndarray,
+    P: np.ndarray,
+    Q: np.ndarray,
+    SQ: np.ndarray,
+    L: float,
+    beta_star: float,
+    beta_sup: float,
+) -> tuple[np.ndarray, float, float, int]:
+    """Backtracked Q step from the curvature estimate L: (Q+, beta_k, L, trials).
+
+    A trial takes beta_k = 1.5 beta_star + L and Q+ = update_Q(Q, SQ, beta_k)
+    and is accepted when -<P D, X^T D> <= (L / 2) ||D||_F^2 for D = Q+ - Q,
+    the descent inequality of h(P, .) at that step (see the module
+    docstring); otherwise L grows by L_GROWTH.  Returns the accepted Q+,
+    beta_k and L and the number of trials.  Raises InfeasibleBoundError when
+    beta_k would exceed beta_sup.
+    """
+    trials = 0
+    while True:
+        beta = 1.5 * beta_star + L
+        if beta > beta_sup:
+            raise InfeasibleBoundError(
+                f"backtracked beta {beta:.6g} exceeds the configured bound "
+                f"beta_sup = {beta_sup:.6g}"
+            )
+        Q_next = update_Q(Q, SQ, beta)
+        trials += 1
+        D = Q_next - Q
+        if -float(np.vdot(P @ D, X.T @ D)) <= 0.5 * L * float(np.vdot(D, D)):
+            return Q_next, beta, L, trials
+        L *= L_GROWTH
 
 
 def gamma_star(alpha_star: float, beta_star: float, X: DataMatrix) -> float:
@@ -412,12 +461,10 @@ def solve(
     trace = RunTrace()
     bm = config.beta_mode
     adaptive = isinstance(bm, AdaptiveBeta)
-    if adaptive:
-        # beta(P) of each sweep is beta(P_next) of the sweep before
-        sigma, SVt = X._factor
-        beta_P = adaptive_beta(SVt, P, bm.beta_star, bm.beta_sup)
+    # adaptive_beta's curvature estimate, its trials and its last beta_k
+    L, trials, beta_k = config.beta_star, 0, math.nan
     if config.theory_mode:
-        gs = _gamma_cap(config.alpha, bm.beta_star, float(sigma[0]))
+        gs = _gamma_cap(config.alpha, bm.beta_star, float(X._sigma[0]))
         gamma = max(0.0, min(gamma, gs - GAMMA_MARGIN))
         assert gamma < gs
         trace.gamma_star = gs
@@ -433,15 +480,18 @@ def solve(
     for k in range(1, config.max_iters + 1):
         extrapolate(XtQ, F, W, Q, Q_prev, gamma, T)
         flips = update_P(P, T, config.alpha)
-        # a sweep that flips no sign keeps P bit for bit, so beta(P) and the
-        # P Q that the last h formed at this P and Q still hold
-        beta_k = beta_P if adaptive else bm.value
+        # a sweep that flips no sign keeps P bit for bit, so the P Q that the
+        # last h formed at this P and Q still holds
         if flips:
             np.matmul(P, Q, out=PQ)
-            if adaptive:
-                beta_P = adaptive_beta(SVt, P, bm.beta_star, bm.beta_sup)
-                beta_k = max(beta_k, beta_P)
-        Q_next = update_Q(Xv, P, Q, XtQ, beta_k, PQ)
+        SQ = _s_times(Xv, P, Q, XtQ, PQ)
+        if adaptive:
+            Q_next, beta_k, L, tried = adaptive_beta(Xv, P, Q, SQ, L, bm.beta_star,
+                                                     bm.beta_sup)
+            trials += tried
+            L = max(L * L_SHRINK, bm.beta_star)
+        else:
+            Q_next = update_Q(Q, SQ, bm.value)
         F[:, K:] = XtQ
         np.matmul(Xv.T, Q_next, out=XtQ)
 
@@ -479,6 +529,8 @@ def solve(
         iterations=iterations,
         wall_time=time.perf_counter() - t0,
         final_gap=final_gap,
+        q_step_trials=trials if adaptive else None,
+        final_beta=beta_k if adaptive else None,
     )
 
 

@@ -42,7 +42,7 @@ from l1subspace import (
 )
 from l1subspace.cli import main as cli_main
 from l1subspace.core import objective_h
-from l1subspace.solvers import update_P, update_Q
+from l1subspace.solvers import _s_times, update_P, update_Q
 
 
 def all_sign_patterns(m):
@@ -126,7 +126,8 @@ def test_criterion_02_subproblem_exactness():
         P = SignMatrix(np.where(rng.random((n, d)) < 0.5, -1.0, 1.0))
         beta = float(10.0 ** rng.uniform(-0.3, 1.7))
 
-        Q_new = update_Q(X.values, P.values, Q.values, X.values.T @ Q.values, beta)
+        SQ = _s_times(X.values, P.values, Q.values, X.values.T @ Q.values)
+        Q_new = update_Q(Q.values, SQ, beta)
         XP = X.values @ P.values
         M = (XP + XP.T) @ Q.values + beta * Q.values
 

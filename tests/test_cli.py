@@ -331,6 +331,24 @@ class TestSolve:
         run_cli(*solve_args(out, small_csv))
         report = json.loads((out / "report.json").read_text())
         jsonschema.validate(report, schema)
+        theory = tmp_path / "theory"
+        assert run_cli("solve", "--out", theory, "--data", small_csv, "--k", 2, "--theory",
+                       "--beta-star", 1.0, "--beta-sup", 1e9, "--seed", 2) == 0
+        jsonschema.validate(json.loads((theory / "report.json").read_text()), schema)
+
+    def test_backtracked_run_reports_its_q_step_trials_and_last_beta(self, tmp_path,
+                                                                     small_csv):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--out", out, "--data", small_csv, "--k", 2, "--theory",
+                       "--beta-star", 2.0, "--beta-sup", 1e9, "--seed", 2) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        # at least one trial a sweep; beta_k = 1.5 beta_star + L with L >= beta_star
+        assert results["q_step_trials"] >= results["iterations"]
+        assert 5.0 <= results["final_beta"] <= 1e9
+        fixed = tmp_path / "fixed"
+        assert run_cli(*solve_args(fixed, small_csv)) == 0
+        results = json.loads((fixed / "report.json").read_text())["results"]
+        assert "q_step_trials" not in results and "final_beta" not in results
 
     def test_zero_matrix_stops_immediately(self, tmp_path):
         zeros = tmp_path / "zeros.csv"
@@ -535,6 +553,15 @@ class TestBench:
 # cluster
 
 
+def write_block_text(path, seed):
+    """40 x 4000 LIBSVM block text: four classes, each owning ten word ids,
+    with Poisson counts at rate 1.2 on its own ids and 0.15 elsewhere."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(4000) % 4
+    rate = np.where(np.arange(40)[:, None] // 10 == labels, 1.2, 0.15)
+    write_libsvm(LabeledDataset(DataMatrix(rng.poisson(rate).astype(float)), labels), path)
+
+
 class TestCluster:
     def test_separable_blobs_cluster_perfectly(self, tmp_path, blobs_libsvm):
         out = tmp_path / "clu"
@@ -597,17 +624,27 @@ class TestCluster:
         # product buffer), so a copy of the parsed features kept past
         # centering, or a report's final_P kept into the next solve, would
         # cross the bound; both did once, for 6.25 blocks at the peak
-        rng = np.random.default_rng(9)
-        labels = np.arange(4000) % 4
-        rate = np.where(np.arange(40)[:, None] // 10 == labels, 1.2, 0.15)
         path = tmp_path / "block.txt"
-        write_libsvm(LabeledDataset(DataMatrix(rng.poisson(rate).astype(float)), labels), path)
+        write_block_text(path, 9)
         argv = ("cluster", "--libsvm", path, "--threshold", 0.3, "--reps", 2, "--beta", 20)
         # a first run loads what the command caches or imports on first use
         assert run_cli(*argv, "--out", tmp_path / "warm") == 0
         code, peak = traced_peak(run_cli, *argv, "--out", tmp_path / "c")
         assert code == 0
         assert peak < 4.5 * 4000 * 40 * 8
+
+    def test_theory_cluster_at_a_high_k_ends_before_max_iters(self, tmp_path):
+        # the default threshold picks K = 27 here, where theory mode's
+        # spectral bound on beta made the Q steps so short that the solve
+        # ran to max_iters (1000 sweeps) without reaching tolerance
+        path = tmp_path / "block.txt"
+        write_block_text(path, 1)
+        out = tmp_path / "c"
+        assert run_cli("cluster", "--out", out, "--libsvm", path, "--theory",
+                       "--beta-star", 1, "--beta-sup", 1e9, "--reps", 1) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert results["subspace_dim"] == 27
+        assert results["iterations"][0] < 1000
 
 
 # ---------------------------------------------------------------------------
@@ -720,14 +757,14 @@ def finished_run(tmp_path, small_csv):
 
 @pytest.fixture()
 def theory_run(tmp_path):
-    # a theory-mode run that stops on tolerance after 42 sweeps, gamma* about 2.6e-9
+    # a theory-mode run that stops on tolerance after 12 sweeps, gamma* about 2.6e-9
     data = tmp_path / "d"
     assert run_cli("synth", "--out", data, "--d", 10, "--n", 40, "--k", 2,
                    "--sigma", 0.5, "--seed", 1) == 0
     out = tmp_path / "r"
     assert run_cli("solve", "--out", out, "--data", data / "X.csv", "--k", 2, "--theory",
                    "--beta-star", 1, "--beta-sup", 1e9, "--tol", 1e-8, "--seed", 1) == 0
-    assert json.loads((out / "report.json").read_text())["results"]["iterations"] == 42
+    assert json.loads((out / "report.json").read_text())["results"]["iterations"] == 12
     return out
 
 
@@ -801,7 +838,7 @@ class TestCheck:
 
     def test_unevaluable_decrease_audit_fails(self, theory_run, capsys):
         # blank steps make every comparison with NaN False; the audit must
-        # not read that as 42 steps without a violation
+        # not read that as 12 steps without a violation
         lines = (theory_run / "trace.csv").read_text().splitlines()
         for k in range(1, len(lines) - 1):
             fields = lines[k + 1].split(",")
@@ -810,7 +847,7 @@ class TestCheck:
             lines[k + 1] = ",".join(fields)
         (theory_run / "trace.csv").write_text("\n".join(lines) + "\n")
         assert run_cli("check", "--run", theory_run) == 5
-        assert "sufficient decrease: FAIL (42 violations over 42 steps)" in (
+        assert "sufficient decrease: FAIL (12 violations over 12 steps)" in (
             capsys.readouterr().out
         )
 
@@ -1326,26 +1363,26 @@ def test_library_error_is_mapped_to_its_exit_code(tmp_path, mapped_inputs, args,
 THEORY = "--beta-star 1 --beta-sup 1e9 --theory --max-iters 50"
 
 # each command's SVDs of its d x n data matrix X, in order: True for a
-# factorization with vectors (theory mode's Sigma V^T), False for the
-# singular values alone (tev, the energy rule, gamma* in check);
+# factorization with vectors, False for the singular values alone (tev, the
+# energy rule, gamma* in solve and check);
 # (argv, shape of X, compute_uv of each SVD of X)
 SVD_COUNTS = {
     "solve": ("solve --out {out} --data {X} --k 2 --beta 20", (20, 60), [False]),
-    "theory-solve": (f"solve --out {{out}} --data {{X}} --k 2 {THEORY}", (20, 60), [True]),
+    "theory-solve": (f"solve --out {{out}} --data {{X}} --k 2 {THEORY}", (20, 60), [False]),
     "theory-check": ("check --run {theory_run}", (20, 60), [False]),
     "cluster": ("cluster --out {out} --libsvm {svm} --beta 20 --reps 2", (10, 60), [False]),
     "theory-cluster": (f"cluster --out {{out}} --libsvm {{svm}} --reps 10 {THEORY}",
-                       (10, 60), [False, True]),
+                       (10, 60), [False]),
     "theory-bench": (f"bench --out {{out}} --d 6 --n 40 --k 2 --sigma 0.5 --reps 3 {THEORY}",
-                     (6, 40), [True, True, True]),
+                     (6, 40), [False, False, False]),
 }
 
 
 @pytest.mark.parametrize("args,shape,want", SVD_COUNTS.values(), ids=SVD_COUNTS)
 def test_each_command_factorizes_each_dataset_once(tmp_path, small_csv, blobs_libsvm,
                                                    monkeypatch, args, shape, want):
-    # every reader of X's singular values shares X's cached spectrum; the
-    # factor with vectors is taken only where theory mode needs Sigma V^T
+    # every reader of X's singular values shares X's cached spectrum, and no
+    # command takes a factorization of X with vectors
     theory_run = tmp_path / "theory"
     if "{theory_run}" in args:
         # a run that ends within check's criticality bound, so check passes

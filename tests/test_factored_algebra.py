@@ -2,8 +2,8 @@
 
 ``solve`` never builds the d x d matrices E, XP or S; its step functions
 evaluate X^T E (``extrapolate``), S Q, the objective h (``objective_h``) and
-the criticality residual from X^T Q and friends, and the adaptive beta
-(``adaptive_beta``) from the factor Sigma V^T of X = U Sigma V^T.
+the criticality residual from X^T Q and friends, and the backtracked Q step
+(``adaptive_beta``) tests the descent inequality from P D and X^T D.
 Each test below draws a small problem and compares the factored value with
 the dense formula to 1e-10 relative.  The screened sign step, which
 divides only the entries that can flip, must equal the dense step bit for
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from l1subspace.core import DataMatrix, SignMatrix, StiefelPoint, objective_h
 from l1subspace.errors import NumericError
-from l1subspace.linalg import polar_factor, spectral_norm
+from l1subspace.linalg import polar_factor
 from l1subspace.solvers import (
     _s_times,
     adaptive_beta,
@@ -99,18 +99,25 @@ def test_objective_h_matches_dense_inner_product(problem):
 
 
 @settings(max_examples=200, deadline=None)
-@given(problems(), st.integers(0, 3))
-def test_factored_beta_matches_dense_norm(problem, dropped):
-    X, _, _, P, _ = problem
-    # zero the trailing singular values too, so rank-deficient X is covered
-    U, sigma, Vt = np.linalg.svd(X.values, full_matrices=False)
-    sigma[sigma.size - min(dropped, sigma.size):] = 0.0
-    values = (U * sigma) @ Vt
-    sigma, SVt = DataMatrix(values)._factor
-    assert SVt.shape == (min(X.d, X.n), X.n)
-    assert_close(sigma[0], spectral_norm(values))
-    want = 1.5 * 2.0 + 2.0 * spectral_norm(values @ P.values)
-    assert_close(adaptive_beta(SVt, P.values, 2.0, math.inf), want)
+@given(problems(), st.floats(1e-3, 1e3))
+def test_backtracked_step_satisfies_the_dense_descent_inequality(problem, beta_star):
+    X, Q, _, P, _ = problem
+    Xv, Qv, Pv = X.values, Q.values, P.values
+    SQ = _s_times(Xv, Pv, Qv, Xv.T @ Qv)
+    Q_next, beta, L, trials = adaptive_beta(Xv, Pv, Qv, SQ, beta_star, beta_star, math.inf)
+    assert beta == 1.5 * beta_star + L
+    assert L == beta_star * 2.0 ** (trials - 1)
+    # in dense form f(Z) = h(P, Z) = -<Z, S Z> / 2, with gradient -S Q at Q
+    S = Xv @ Pv + (Xv @ Pv).T
+
+    def f(Z):
+        return -0.5 * float(np.vdot(Z, S @ Z))
+
+    D = Q_next - Qv
+    # the tested -<P D, X^T D> is f(Q+) - f(Q) + <S Q, D>
+    curvature = f(Q_next) - f(Qv) + float(np.vdot(S @ Qv, D))
+    assert_close(-float(np.vdot(Pv @ D, Xv.T @ D)), curvature)
+    assert curvature <= 0.5 * L * float(np.vdot(D, D)) + RTOL * max(abs(f(Qv)), 1.0)
 
 
 @st.composite

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from l1subspace import cli, core, solvers
+from l1subspace import cli, core, linalg, solvers
 from l1subspace.core import (
     AdaptiveBeta,
     DataMatrix,
@@ -159,14 +159,15 @@ def test_update_p_errors():
 
 
 # ---------------------------------------------------------------------------
-# update_Q: the Procrustes step from the products X^T Q and, optionally, P Q
+# update_Q: the Procrustes step from S Q, which _s_times forms from the
+# products X^T Q and, optionally, P Q
 
 
 def test_update_q_zero_data_returns_same_point():
     X = np.zeros((3, 4))
     Q = random_stiefel(3, 2, 5).values
     P = np.ones((4, 3))
-    assert update_Q(X, P, Q, X.T @ Q, 2.0) is Q
+    assert update_Q(Q, _s_times(X, P, Q, X.T @ Q), 2.0) is Q
 
 
 def test_update_q_k1_closed_form():
@@ -178,10 +179,10 @@ def test_update_q_k1_closed_form():
     XP = X @ P
     S = XP + XP.T
     M = Q + (S @ Q) / beta
-    got = update_Q(X, P, Q, X.T @ Q, beta)
+    got = update_Q(Q, _s_times(X, P, Q, X.T @ Q), beta)
     assert np.allclose(got, M / np.linalg.norm(M), atol=1e-12)
     # a given P Q is the one it would form
-    assert np.array_equal(update_Q(X, P, Q, X.T @ Q, beta, P @ Q), got)
+    assert np.array_equal(update_Q(Q, _s_times(X, P, Q, X.T @ Q, P @ Q), beta), got)
 
 
 def test_update_q_maximizes_procrustes_objective():
@@ -192,7 +193,7 @@ def test_update_q_maximizes_procrustes_objective():
     beta = 4.0
     XP = X @ P
     M = Q + ((XP + XP.T) @ Q) / beta
-    got = update_Q(X, P, Q, X.T @ Q, beta)
+    got = update_Q(Q, _s_times(X, P, Q, X.T @ Q), beta)
     best = float(np.vdot(got, M))
     for _ in range(500):
         Z, _ = np.linalg.qr(rng.standard_normal((5, 2)))
@@ -205,7 +206,7 @@ def test_update_q_errors():
     Q = np.array([[1.0], [0.0]])
     XtQ = np.array([[np.inf], [0.0]])
     with pytest.raises(NumericError, match="non-finite"):
-        update_Q(X, np.ones((2, 2)), Q, XtQ, 1.0)
+        update_Q(Q, _s_times(X, np.ones((2, 2)), Q, XtQ), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +232,58 @@ def test_gamma_star_domain_errors():
         gamma_star(1.0, -2.0, X)
 
 
-def test_adaptive_beta_zero_data():
-    X = DataMatrix(np.zeros((2, 3)))
-    assert adaptive_beta(X._factor[1], np.ones((3, 2)), 2.0, 100.0) == 3.0
+def test_adaptive_beta_zero_data_returns_q():
+    # S Q = 0: the step is Q itself, accepted at the first trial
+    X = np.zeros((2, 3))
+    Q = random_stiefel(2, 1, 0).values
+    P = np.ones((3, 2))
+    Q_next, beta, L, trials = adaptive_beta(X, P, Q, _s_times(X, P, Q, X.T @ Q),
+                                            2.0, 2.0, 100.0)
+    assert Q_next is Q
+    assert (beta, L, trials) == (5.0, 2.0, 1)
 
 
-def test_adaptive_beta_known_norm():
-    # X P = [[10]] so the spectral norm is exactly 10 and b = 1.5*2 + 20
-    SVt = DataMatrix([[10.0]])._factor[1]
-    P = np.ones((1, 1))
-    assert adaptive_beta(SVt, P, 2.0, 100.0) == pytest.approx(23.0, rel=1e-6)
-    with pytest.raises(InfeasibleBoundError):
-        adaptive_beta(SVt, P, 2.0, 20.0)
+def _rejecting_step():
+    # a sign block that disagrees with X^T Q Q^T leaves S indefinite, and at
+    # beta_star = 1e-3 the first trials jump far along its negative curvature
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((6, 20))
+    Q = random_stiefel(6, 2, rng).values
+    P = np.where(rng.random((20, 6)) < 0.5, -1.0, 1.0)
+    return X, P, Q, _s_times(X, P, Q, X.T @ Q)
+
+
+def test_adaptive_beta_accepts_a_step_that_satisfies_the_descent_inequality():
+    X, P, Q, SQ = _rejecting_step()
+    Q_next, beta, L, trials = adaptive_beta(X, P, Q, SQ, 1e-3, 1e-3, 1e9)
+    assert trials >= 2
+    assert L == 1e-3 * 2.0 ** (trials - 1)
+    assert beta == 1.5e-3 + L
+    assert np.array_equal(Q_next, update_Q(Q, SQ, beta))
+    # in dense form, f(Z) = h(P, Z) = -<Z, S Z> / 2 and its gradient is -S Q
+    S = X @ P + (X @ P).T
+
+    def f(Z):
+        return -0.5 * float(np.vdot(Z, S @ Z))
+
+    def slack(Z, L):
+        # f(Q) - <S Q, D> + (L / 2) ||D||^2 - f(Z) for the step D = Z - Q
+        D = Z - Q
+        return f(Q) - float(np.vdot(SQ, D)) + 0.5 * L * float(np.vdot(D, D)) - f(Z)
+
+    tol = 1e-12 * (1.0 + abs(f(Q)))
+    assert slack(Q_next, L) >= -tol
+    # the trial before it, at L / 2, broke the inequality
+    assert slack(update_Q(Q, SQ, 1.5e-3 + L / 2.0), L / 2.0) < -tol
+
+
+def test_adaptive_beta_raises_where_backtracking_would_pass_beta_sup():
+    X, P, Q, SQ = _rejecting_step()
+    _, beta, _, trials = adaptive_beta(X, P, Q, SQ, 1e-3, 1e-3, 1e9)
+    assert trials >= 2
+    # every trial below the accepted beta was rejected
+    with pytest.raises(InfeasibleBoundError, match="beta_sup"):
+        adaptive_beta(X, P, Q, SQ, 1e-3, 1e-3, beta * (1.0 - 1e-9))
 
 
 @pytest.mark.parametrize("beta_sup", [float("nan"), -1.0])
@@ -393,7 +434,7 @@ def test_palm_specialization_is_bit_identical():
     for _ in range(rep.iterations):
         XtQ = Xv.T @ Q
         update_P(P, XtQ @ Q.T, 1e-4)
-        Q = update_Q(Xv, P, Q, XtQ, 5.0)
+        Q = update_Q(Q, _s_times(Xv, P, Q, XtQ), 5.0)
         qs.append(Q)
     assert len(rep.trace.q_snapshots) == rep.iterations + 1
     for snap, q in zip(rep.trace.q_snapshots, qs):
@@ -423,8 +464,8 @@ def test_tall_problem_never_forms_a_d_by_d_matrix():
 
 
 def test_tall_theory_solve_never_forms_a_d_by_d_matrix():
-    # adaptive beta needs ||X P||_2; at d = 2000 the d x d matrix X P alone
-    # would be 32 MB, while the factor (Sigma V^T) P is only r x d
+    # at d = 2000 one d x d matrix such as X P would be 32 MB; the backtracked
+    # Q step tests each trial with the n x K products P D and X^T D
     rng = np.random.default_rng(22)
     X = random_centered(2000, 6, rng)
     rep, peak = traced_peak(solve, X, theory_config(max_iters=2, tol=1e-14),
@@ -433,25 +474,32 @@ def test_tall_theory_solve_never_forms_a_d_by_d_matrix():
     assert peak < 8 * 2**20
 
 
-def test_theory_solve_takes_one_spectral_norm_per_flipping_sweep(monkeypatch):
-    # beta(P) of a sweep is beta(P_next) of the one before, a sweep that
-    # flips no sign keeps P and so its beta, and gamma_star reads sigma_1
-    # from the same factorization of X: one norm for P0 and one for each
-    # sweep that flips a sign
-    calls = []
+def test_theory_solve_takes_no_spectral_norm_and_no_factor_of_x(monkeypatch):
+    # the backtracked beta needs no norm of X P, and gamma_star reads sigma_1
+    # from X's singular values: one SVD of X, without vectors
+    norms, svds = [], []
 
     def counting_norm(M):
-        calls.append(1)
+        norms.append(1)
         return spectral_norm(M)
 
-    monkeypatch.setattr(solvers, "spectral_norm", counting_norm)
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *rest, **kwargs):
+        if np.shape(a) == (9, 30):
+            svds.append(kwargs.get("compute_uv", True))
+        return real_svd(a, *rest, **kwargs)
+
+    for module in (linalg, solvers):
+        monkeypatch.setattr(module, "spectral_norm", counting_norm, raising=False)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     rng = np.random.default_rng(24)
     X = random_centered(9, 30, rng)
     rep = solve(X, theory_config(max_iters=6, tol=1e-300), random_stiefel(9, 2, 1))
     assert rep.iterations == 6
-    flipping = sum(dP > 0 for dP in rep.trace.dP[1:])
-    assert 0 < flipping < rep.iterations
-    assert len(calls) == 1 + flipping
+    assert rep.q_step_trials >= 6
+    assert norms == []
+    assert svds == [False]
 
 
 def test_solve_validates_the_iterate_only_where_it_leaves(monkeypatch):
@@ -705,8 +753,9 @@ def test_recorded_phi_is_h_plus_drift_penalty(cfg):
 def _reference_solve(X, config, init_Q):
     """The sweep before the workspace: a fresh n x d X^T E from hstack and
     vstack factors, the dense sign step sign_select(P + X^T E / alpha, P),
-    a P_next != P flip count, and closing checks that each form X^T Q Q^T.
-    Returns every field of the report but wall time."""
+    a P_next != P flip count, the backtracked Q step written out as a loop,
+    and closing checks that each form X^T Q Q^T.  Returns every field of the
+    report but wall time."""
     Xv = X.values
     Q = Q_prev = init_Q.values
     XtQ = Xv.T @ Q
@@ -716,11 +765,9 @@ def _reference_solve(X, config, init_Q):
     trace = solvers.RunTrace()
     bm = config.beta_mode
     adaptive = isinstance(bm, AdaptiveBeta)
-    if adaptive:
-        sigma, SVt = X._factor
-        beta_P = adaptive_beta(SVt, P, bm.beta_star, bm.beta_sup)
+    L, trials, beta_k = config.beta_star, 0, math.nan
     if config.theory_mode:
-        gs = _gamma_cap(config.alpha, bm.beta_star, float(sigma[0]))
+        gs = _gamma_cap(config.alpha, bm.beta_star, float(np.linalg.norm(Xv, 2)))
         gamma = max(0.0, min(gamma, gs - solvers.GAMMA_MARGIN))
         trace.gamma_star = gs
     iterations = 0
@@ -736,13 +783,22 @@ def _reference_solve(X, config, init_Q):
             XtE = np.hstack([XtQ, XtQ_prev]) @ np.vstack(
                 [(1.0 + gamma) * Q.T, -gamma * Q_prev.T])
         P_next = sign_select(P + XtE / config.alpha, P)
+        SQ = _s_times(Xv, P_next, Q, XtQ)
         if adaptive:
-            beta_next = adaptive_beta(SVt, P_next, bm.beta_star, bm.beta_sup)
-            beta_k = max(beta_P, beta_next)
-            beta_P = beta_next
+            # double L until -<P D, X^T D> <= (L / 2) ||D||^2 at the step D,
+            # then start the next sweep from half the accepted L
+            while True:
+                beta_k = 1.5 * bm.beta_star + L
+                assert beta_k <= bm.beta_sup
+                Q_next = update_Q(Q, SQ, beta_k)
+                trials += 1
+                D = Q_next - Q
+                if -float(np.vdot(P_next @ D, Xv.T @ D)) <= 0.5 * L * float(np.vdot(D, D)):
+                    break
+                L *= 2.0
+            L = max(L / 2.0, bm.beta_star)
         else:
-            beta_k = bm.value
-        Q_next = update_Q(Xv, P_next, Q, XtQ, beta_k)
+            Q_next = update_Q(Q, SQ, bm.value)
         XtQ_prev, XtQ = XtQ, Xv.T @ Q_next
         dP = 2.0 * math.sqrt(np.count_nonzero(P_next != P))
         dQ = float(np.linalg.norm(Q_next - Q))
@@ -771,7 +827,8 @@ def _reference_solve(X, config, init_Q):
     objective = -float(np.abs(Q @ (Q.T @ Xv)).sum())
     return dict(P=P, Q=Q, objective=objective, trace=trace, criticality=crit,
                 alpha_holds=holds, stop_reason=stop_reason, iterations=iterations,
-                final_gap=final_gap)
+                final_gap=final_gap, q_step_trials=trials if adaptive else None,
+                final_beta=beta_k if adaptive else None)
 
 
 def _integer_data_with_zero_samples(d, n, rng):
@@ -802,8 +859,8 @@ def test_solve_matches_dense_reference_bit_for_bit(shape, data, gamma, theory):
     Q0 = random_stiefel(d, 2, 5)
     rep = solve(X, cfg, Q0, snapshots=True)
     want = _reference_solve(X, cfg, Q0)
-    # a sweep that flips no sign reuses beta(P) and P Q, and the next one
-    # that flips must form them afresh: each case runs both kinds
+    # a sweep that flips no sign reuses P Q, and the next one that flips
+    # must form it afresh: each case runs both kinds
     flipped = [dP > 0 for dP in rep.trace.dP[1:]]
     assert not all(flipped)
     assert any(flipped[flipped.index(False):])
@@ -821,6 +878,10 @@ def test_solve_matches_dense_reference_bit_for_bit(shape, data, gamma, theory):
     assert rep.stop_reason == want["stop_reason"]
     assert rep.iterations == want["iterations"]
     assert _same(rep.final_gap, want["final_gap"])
+    assert rep.q_step_trials == want["q_step_trials"]
+    assert rep.final_beta == want["final_beta"]
+    # backtracking rejects some trials in every theory case
+    assert (rep.q_step_trials is not None and rep.q_step_trials > rep.iterations) is theory
 
 
 def test_wide_solve_peaks_below_three_sign_blocks():
@@ -885,6 +946,7 @@ def _same_report(a, b):
     assert a.alpha_condition_holds is b.alpha_condition_holds
     assert (a.stop_reason, a.iterations) == (b.stop_reason, b.iterations)
     assert _same(a.final_gap, b.final_gap)
+    assert (a.q_step_trials, a.final_beta) == (b.q_step_trials, b.final_beta)
 
 
 @pytest.mark.parametrize("config", [
@@ -913,7 +975,13 @@ def test_solve_runs_each_step_by_its_name(monkeypatch, config):
     rep = solve(X, config, Q0, snapshots=True)
     n = rep.iterations
     assert n > 1
-    assert calls["extrapolate"] == calls["update_P"] == calls["update_Q"] == n
+    assert calls["extrapolate"] == calls["update_P"] == n
     assert calls["objective_h"] == n + 1
-    assert (calls["adaptive_beta"] >= 1) is config.theory_mode
+    if config.theory_mode:
+        # one backtracking search per sweep, one Q step per trial
+        assert calls["adaptive_beta"] == n
+        assert calls["update_Q"] == rep.q_step_trials >= n
+    else:
+        assert calls["adaptive_beta"] == 0
+        assert calls["update_Q"] == n
     _same_report(rep, plain)
